@@ -130,10 +130,12 @@ func TestPullMatchesSerial(t *testing.T) {
 }
 
 // blockBackend parks every Run until the worker's context dies —
-// the stand-in for a wedged or crashed worker process.
-type blockBackend struct{}
+// the stand-in for a wedged or crashed worker process. Each Run first
+// announces itself on entered.
+type blockBackend struct{ entered chan struct{} }
 
-func (blockBackend) Run(ctx context.Context, _ wire.Spec) (experiment.RunResult, error) {
+func (b blockBackend) Run(ctx context.Context, _ wire.Spec) (experiment.RunResult, error) {
+	b.entered <- struct{}{}
 	<-ctx.Done()
 	return wire.Result{}, ctx.Err()
 }
@@ -158,7 +160,8 @@ func TestPullWorkStealing(t *testing.T) {
 	// The doomed worker claims the whole batch and wedges. Its sleeper
 	// blocks forever, so it never heartbeats — exactly a hung process.
 	ctxA, killA := context.WithCancel(context.Background())
-	doomed := NewPullWorker(addr, "doomed", blockBackend{}, nil, n, n)
+	bb := blockBackend{entered: make(chan struct{}, n)}
+	doomed := NewPullWorker(addr, "doomed", bb, nil, n, n)
 	doomed.SetSleep(func(ctx context.Context, _ time.Duration) error {
 		<-ctx.Done()
 		return ctx.Err()
@@ -166,12 +169,14 @@ func TestPullWorkStealing(t *testing.T) {
 	aDone := make(chan error, 1)
 	go func() { aDone <- doomed.Run(ctxA) }()
 
-	deadline := time.Now().Add(5 * time.Second)
-	for q.Stats().Leased < n {
-		if time.Now().After(deadline) {
-			t.Fatalf("doomed worker never claimed the batch: %+v", q.Stats())
+	// Kill only once every spec is inside the backend: one still on its
+	// way in would be nacked on cancel instead of sitting out the lease.
+	for i := 0; i < n; i++ {
+		select {
+		case <-bb.entered:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("doomed worker started %d of %d specs: %+v", i, n, q.Stats())
 		}
-		time.Sleep(time.Millisecond)
 	}
 
 	killA()
@@ -351,6 +356,10 @@ func TestPullWorkerCrashFaultAbandonsBatch(t *testing.T) {
 		t.Fatalf("crashed worker completed %d specs, want 0", w.Runs())
 	}
 	clk.Advance(11 * time.Second)
+	// No event announces the expiry; this Stats call reclaims the lease
+	// and wakes the worker's held claim rather than leaving the steal to
+	// its next claim round.
+	q.Stats()
 
 	for i := 0; i < n; i++ {
 		if err := <-errc[i]; err != nil {
@@ -528,18 +537,18 @@ func TestPullLeaderRestartWorkerRejoins(t *testing.T) {
 	}
 }
 
-// TestPollWaitJitter: the idle-poll jitter is seeded by worker id —
-// reproducible per worker, different across workers, and always within
-// [base/2, 3*base/2).
+// TestPollWaitJitter: the pause before retrying a failed claim is
+// jittered from a stream seeded by worker id — reproducible per worker,
+// different across workers, and always within
+// [idleWait/2, 3*idleWait/2).
 func TestPollWaitJitter(t *testing.T) {
 	mk := func(id string) *PullWorker {
 		return NewPullWorker("127.0.0.1:0", id, experiment.LocalBackend{}, nil, 1, 1)
 	}
-	const base = 100 * time.Millisecond
 	a, b, c := mk("w0"), mk("w0"), mk("w1")
 	same, allSame := true, true
 	for i := 0; i < 32; i++ {
-		wa, wb, wc := a.pollWait(base), b.pollWait(base), c.pollWait(base)
+		wa, wb, wc := a.pollWait(), b.pollWait(), c.pollWait()
 		if wa != wb {
 			same = false
 		}
@@ -547,8 +556,8 @@ func TestPollWaitJitter(t *testing.T) {
 			allSame = false
 		}
 		for _, d := range []time.Duration{wa, wc} {
-			if d < base/2 || d >= base/2+base {
-				t.Fatalf("pollWait(%v) = %v, outside [base/2, 3*base/2)", base, d)
+			if d < idleWait/2 || d >= idleWait/2+idleWait {
+				t.Fatalf("pollWait() = %v, outside [idleWait/2, 3*idleWait/2)", d)
 			}
 		}
 	}
@@ -556,9 +565,120 @@ func TestPollWaitJitter(t *testing.T) {
 		t.Fatal("two workers with the same id jitter differently")
 	}
 	if allSame {
-		t.Fatal("workers w0 and w1 share an identical 32-poll jitter sequence")
+		t.Fatal("workers w0 and w1 share an identical 32-retry jitter sequence")
 	}
-	if got := a.pollWait(0); got < idleWait/2 || got >= idleWait/2+idleWait {
-		t.Fatalf("pollWait(0) = %v, want an idleWait-based default", got)
+}
+
+// echoBackend answers every spec at once with its timer as the cycle
+// count: a stand-in simulator for protocol tests.
+type echoBackend struct{}
+
+func (echoBackend) Run(_ context.Context, spec wire.Spec) (experiment.RunResult, error) {
+	return wire.Result{Cycles: spec.Timer}, nil
+}
+
+// waitWorkers spins until want distinct workers have claimed from q.
+func waitWorkers(t *testing.T, q *Queue, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for q.Stats().Workers < want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d workers never claimed (stats %+v)", want, q.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestPullLongPollClaim: a worker claiming from an empty queue is
+// answered by a spec submitted after its claim, with no sleep between
+// claims, and Drain stops an idle worker within the leader's hold.
+func TestPullLongPollClaim(t *testing.T) {
+	q := NewQueue(0, time.Now)
+	addr := startLeader(t, q)
+	// With a live leader the only sleep is the heartbeat pause inside a
+	// batch; an empty claim must go straight back to the leader.
+	noIdleSleep := func(ctx context.Context, d time.Duration) error {
+		if d != q.Lease()/3 {
+			t.Errorf("worker slept %v outside the heartbeat loop", d)
+		}
+		<-ctx.Done()
+		return ctx.Err()
+	}
+	start := func(id string) (*PullWorker, <-chan error) {
+		w := NewPullWorker(addr, id, echoBackend{}, nil, 1, 1)
+		w.SetSleep(noIdleSleep)
+		done := make(chan error, 1)
+		go func() { done <- w.Run(context.Background()) }()
+		return w, done
+	}
+
+	poller, pollerDone := start("poller")
+	waitWorkers(t, q, 1)
+	resc, errc := submitAsync(q, qspec(0))
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	if res := <-resc; res.Cycles != qspec(0).Timer {
+		t.Fatalf("spec resolved with cycles %d, want %d", res.Cycles, qspec(0).Timer)
+	}
+	if poller.Claims() != 1 || poller.Runs() != 1 {
+		t.Fatalf("poller made %d claims and %d runs, want 1 and 1", poller.Claims(), poller.Runs())
+	}
+
+	// A second worker that never gets work is idle inside a held claim.
+	idler, idlerDone := start("idler")
+	waitWorkers(t, q, 2)
+	for _, w := range []*PullWorker{idler, poller} {
+		w.Drain()
+	}
+	for _, done := range []<-chan error{idlerDone, pollerDone} {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("drained worker returned %v, want nil", err)
+			}
+		case <-time.After(idleWait + time.Second):
+			t.Fatal("idle worker did not stop within the hold bound after Drain")
+		}
+	}
+}
+
+// TestLeaderCloseCutsHeldClaim: closing the leader's server ends a held
+// claim at once, so shutdown never waits out the hold.
+func TestLeaderCloseCutsHeldClaim(t *testing.T) {
+	q := NewQueue(0, time.Now)
+	leader := NewLeader(q, "").Handler()
+	exited := make(chan struct{})
+	srv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		defer close(exited)
+		leader.ServeHTTP(w, r)
+	})}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = srv.Serve(ln) }()
+
+	claimed := make(chan error, 1)
+	go func() {
+		body, _ := json.Marshal(ClaimRequest{Worker: "held"})
+		resp, err := http.Post("http://"+ln.Addr().String()+"/queue/claim", "application/json", bytes.NewReader(body))
+		if err == nil {
+			resp.Body.Close()
+		}
+		claimed <- err
+	}()
+	waitWorkers(t, q, 1)
+
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-exited:
+	case <-time.After(idleWait / 2):
+		t.Fatal("held claim outlived the leader's Close")
+	}
+	if err := <-claimed; err == nil {
+		t.Fatal("claim cut by Close still got a response")
 	}
 }

@@ -37,12 +37,11 @@ type ClaimRequest struct {
 // ClaimResponse is the reply to a claim.
 type ClaimResponse struct {
 	Schema string `json:"schema"`
-	// Lease is 0 when no work is available; Specs is then empty and
-	// WaitMS hints how long to sleep before asking again.
+	// Lease is 0 when the leader held the claim open for idleWait and
+	// no work arrived; Specs is then empty and the worker asks again.
 	Lease   uint64      `json:"lease,omitempty"`
 	Specs   []wire.Spec `json:"specs,omitempty"`
 	LeaseMS int64       `json:"lease_ms,omitempty"`
-	WaitMS  int64       `json:"wait_ms,omitempty"`
 }
 
 // CompleteRequest is the body of POST /queue/complete: one resolved
@@ -79,9 +78,10 @@ type OK struct {
 	OK bool `json:"ok"`
 }
 
-// idleWait is the sleep hint handed to a worker that claimed nothing:
-// long enough to keep an idle fleet's polling traffic trivial, short
-// enough that a burst of submissions is picked up promptly.
+// idleWait bounds how long the leader holds an empty claim open: long
+// enough to keep an idle fleet's claim traffic trivial, short enough
+// that an idle worker notices a drain, and an expired lease (which no
+// event announces) is stolen by the next claim round, promptly.
 const idleWait = 200 * time.Millisecond
 
 // maxQueueBody bounds a queue-endpoint request body. A claim or nack
@@ -96,9 +96,6 @@ const maxQueueBody = 1 << 20
 type Leader struct {
 	q     *Queue
 	token string
-	// batches/completes count protocol traffic for the leader's log.
-	claims    atomic.Uint64
-	completes atomic.Uint64
 }
 
 // NewLeader wraps a queue in the HTTP protocol. token "" leaves the
@@ -195,12 +192,13 @@ func (l *Leader) handleClaim(w http.ResponseWriter, r *http.Request) {
 				req.Worker, req.Schema, wire.SchemaVersion()))
 		return
 	}
-	id, specs := l.q.Claim(req.Worker, req.Max)
+	// The hold ends early when the worker hangs up or the server closes
+	// the connection, so shutdown never waits out a held claim.
+	ctx, cancel := context.WithTimeout(r.Context(), idleWait)
+	defer cancel()
+	id, specs := l.q.Claim(ctx, req.Worker, req.Max)
 	resp := ClaimResponse{Schema: wire.SchemaVersion()}
-	if id == 0 {
-		resp.WaitMS = int64(idleWait / time.Millisecond)
-	} else {
-		l.claims.Add(1)
+	if id != 0 {
 		resp.Lease = id
 		resp.Specs = specs
 		resp.LeaseMS = int64(l.q.Lease() / time.Millisecond)
@@ -237,7 +235,6 @@ func (l *Leader) handleComplete(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	l.completes.Add(1)
 	writeJSON(w, http.StatusOK, OK{OK: true})
 }
 

@@ -103,6 +103,9 @@ type Queue struct {
 	nextID  uint64
 	workers map[string]bool
 	stats   Stats
+	// wake is closed, and replaced, whenever pending grows, releasing
+	// every Claim waiting on an empty queue.
+	wake chan struct{}
 }
 
 // NewQueue creates a queue with the given lease duration (<= 0 selects
@@ -119,6 +122,7 @@ func NewQueue(leaseDur time.Duration, now func() time.Time) *Queue {
 		items:   make(map[string]*item),
 		leases:  make(map[uint64]*lease),
 		workers: make(map[string]bool),
+		wake:    make(chan struct{}),
 	}
 }
 
@@ -139,6 +143,7 @@ func (q *Queue) Submit(ctx context.Context, spec wire.Spec) (res wire.Result, ca
 		q.items[key] = it
 		q.pending = append(q.pending, it)
 		q.stats.Submitted++
+		q.wakeLocked()
 	}
 	q.mu.Unlock()
 
@@ -156,18 +161,36 @@ func (q *Queue) Submit(ctx context.Context, spec wire.Spec) (res wire.Result, ca
 
 // Claim hands worker up to max pending specs under a fresh lease.
 // Expired leases are reclaimed first, so a starving worker steals a
-// dead peer's batch on its next claim. A zero lease ID means no work
-// is available right now.
-func (q *Queue) Claim(worker string, max int) (leaseID uint64, specs []wire.Spec) {
+// dead peer's batch on its next claim. On an empty queue Claim waits
+// for work to arrive (a submission, a nack, a reclaimed lease) until
+// ctx is done; a ctx that is already done makes it a single
+// non-blocking attempt. A zero lease ID means no work arrived in time.
+func (q *Queue) Claim(ctx context.Context, worker string, max int) (leaseID uint64, specs []wire.Spec) {
 	if max < 1 {
 		max = 1
 	}
+	for {
+		id, specs, wake := q.tryClaim(worker, max)
+		if id != 0 {
+			return id, specs
+		}
+		select {
+		case <-wake:
+		case <-ctx.Done():
+			return 0, nil
+		}
+	}
+}
+
+// tryClaim leases up to max pending specs to worker or, with nothing
+// pending, returns the channel the next arrival closes.
+func (q *Queue) tryClaim(worker string, max int) (leaseID uint64, specs []wire.Spec, wake <-chan struct{}) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.workers[worker] = true
 	q.reclaimExpiredLocked()
 	if len(q.pending) == 0 {
-		return 0, nil
+		return 0, nil, q.wake
 	}
 	n := min(max, len(q.pending))
 	q.nextID++
@@ -185,7 +208,7 @@ func (q *Queue) Claim(worker string, max int) (leaseID uint64, specs []wire.Spec
 	}
 	q.pending = append([]*item(nil), q.pending[n:]...)
 	q.leases[l.id] = l
-	return l.id, specs
+	return l.id, specs, nil
 }
 
 // Heartbeat extends a live lease to now+lease and reports whether the
@@ -292,6 +315,7 @@ func (q *Queue) Nack(leaseID uint64, keys []string) error {
 		}
 	}
 	q.pending = append(back, q.pending...)
+	q.wakeLocked()
 	if len(l.out) == 0 {
 		delete(q.leases, leaseID)
 	}
@@ -313,17 +337,10 @@ func (q *Queue) Stats() Stats {
 	return st
 }
 
-// Outstanding reports how many submitted specs are not yet resolved.
-func (q *Queue) Outstanding() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	n := 0
-	for _, it := range q.items {
-		if it.state != stateDone {
-			n++
-		}
-	}
-	return n
+// wakeLocked releases every Claim waiting for work.
+func (q *Queue) wakeLocked() {
+	close(q.wake)
+	q.wake = make(chan struct{})
 }
 
 // resolveLocked marks an item done and wakes its submitters.
@@ -386,5 +403,8 @@ func (q *Queue) reclaimExpiredLocked() {
 		}
 		q.pending = append(back, q.pending...)
 		delete(q.leases, l.id)
+	}
+	if len(expired) > 0 {
+		q.wakeLocked()
 	}
 }

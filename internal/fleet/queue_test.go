@@ -33,6 +33,49 @@ func (c *fakeClock) Advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
+// noWait is an already-done context: Claim makes one non-blocking
+// attempt.
+var noWait = func() context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return ctx
+}()
+
+// heldCtx announces when a Claim starts waiting on it. Claim consults
+// Done only after it found the queue empty and took the wake channel,
+// so any work arriving after held closes reaches that wait.
+type heldCtx struct {
+	context.Context
+	held chan struct{}
+	once sync.Once
+}
+
+func (c *heldCtx) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.held) })
+	return c.Context.Done()
+}
+
+// heldClaim starts a Claim on an empty queue and returns once it waits;
+// the channel yields what it claimed. The claim gives up after hold, so
+// a lost wake-up fails the test instead of hanging it.
+func heldClaim(t *testing.T, q *Queue, worker string, hold time.Duration) <-chan []wire.Spec {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), hold)
+	hc := &heldCtx{Context: ctx, held: make(chan struct{})}
+	out := make(chan []wire.Spec, 1)
+	go func() {
+		defer cancel()
+		_, specs := q.Claim(hc, worker, 10)
+		out <- specs
+	}()
+	select {
+	case <-hc.held:
+	case specs := <-out:
+		t.Fatalf("claim by %s did not wait: got %d specs at once", worker, len(specs))
+	}
+	return out
+}
+
 // qspec builds distinct minimal specs; the queue keys on Spec.Key()
 // and never interprets the contents.
 func qspec(i int) wire.Spec {
@@ -77,7 +120,7 @@ func TestQueueClaimComplete(t *testing.T) {
 	}
 	waitPending(t, q, 3)
 
-	id, claimed := q.Claim("w1", 10)
+	id, claimed := q.Claim(noWait, "w1", 10)
 	if id == 0 || len(claimed) != 3 {
 		t.Fatalf("claim: lease %d, %d specs, want a lease over 3", id, len(claimed))
 	}
@@ -98,7 +141,7 @@ func TestQueueClaimComplete(t *testing.T) {
 	if st.Done != 3 || st.Pending != 0 || st.Leased != 0 {
 		t.Fatalf("stats after completion: %+v", st)
 	}
-	if _, more := q.Claim("w1", 10); more != nil {
+	if _, more := q.Claim(noWait, "w1", 10); more != nil {
 		t.Fatal("claim on an empty queue returned specs")
 	}
 }
@@ -110,16 +153,16 @@ func TestQueueLeaseExpirySteals(t *testing.T) {
 	resc, errc := submitAsync(q, qspec(0))
 	waitPending(t, q, 1)
 
-	dead, specs := q.Claim("dead-worker", 10)
+	dead, specs := q.Claim(noWait, "dead-worker", 10)
 	if dead == 0 || len(specs) != 1 {
 		t.Fatalf("claim: lease %d over %d specs", dead, len(specs))
 	}
 	// Before expiry nothing is stealable.
-	if id, _ := q.Claim("thief", 10); id != 0 {
+	if id, _ := q.Claim(noWait, "thief", 10); id != 0 {
 		t.Fatal("live lease was stolen")
 	}
 	clk.Advance(11 * time.Second)
-	thief, stolen := q.Claim("thief", 10)
+	thief, stolen := q.Claim(noWait, "thief", 10)
 	if thief == 0 || len(stolen) != 1 || stolen[0].Key() != qspec(0).Key() {
 		t.Fatalf("expired lease not stolen: lease %d, specs %v", thief, stolen)
 	}
@@ -146,7 +189,7 @@ func TestQueueHeartbeatExtendsLease(t *testing.T) {
 
 	_, errc := submitAsync(q, qspec(0))
 	waitPending(t, q, 1)
-	id, _ := q.Claim("w1", 10)
+	id, _ := q.Claim(noWait, "w1", 10)
 
 	for i := 0; i < 3; i++ {
 		clk.Advance(8 * time.Second)
@@ -154,7 +197,7 @@ func TestQueueHeartbeatExtendsLease(t *testing.T) {
 			t.Fatalf("heartbeat %d lost a live lease", i)
 		}
 	}
-	if thief, _ := q.Claim("thief", 10); thief != 0 {
+	if thief, _ := q.Claim(noWait, "thief", 10); thief != 0 {
 		t.Fatal("heartbeated lease was stolen")
 	}
 	if err := q.Complete(id, qspec(0).Key(), wire.Result{Cycles: 1}, false); err != nil {
@@ -173,9 +216,9 @@ func TestQueueLateAndDuplicateCompletions(t *testing.T) {
 	waitPending(t, q, 1)
 	key := qspec(0).Key()
 
-	slow, _ := q.Claim("slow", 10)
+	slow, _ := q.Claim(noWait, "slow", 10)
 	clk.Advance(11 * time.Second)
-	fast, stolen := q.Claim("fast", 10)
+	fast, stolen := q.Claim(noWait, "fast", 10)
 	if fast == 0 || len(stolen) != 1 {
 		t.Fatalf("steal failed: lease %d over %d specs", fast, len(stolen))
 	}
@@ -212,7 +255,7 @@ func TestQueueNackReturnsToFront(t *testing.T) {
 	}
 	waitPending(t, q, 4)
 
-	id, claimed := q.Claim("draining", 2)
+	id, claimed := q.Claim(noWait, "draining", 2)
 	if len(claimed) != 2 {
 		t.Fatalf("claimed %d specs, want 2", len(claimed))
 	}
@@ -225,7 +268,7 @@ func TestQueueNackReturnsToFront(t *testing.T) {
 	}
 	// Nacked work comes back at the queue front: the next claim must
 	// hand out exactly the two returned specs first.
-	_, next := q.Claim("successor", 2)
+	_, next := q.Claim(noWait, "successor", 2)
 	got := map[string]bool{next[0].Key(): true, next[1].Key(): true}
 	if !got[claimed[0].Key()] || !got[claimed[1].Key()] {
 		t.Fatalf("nacked specs were not re-dispatched first: got %v, want %v and %v",
@@ -243,7 +286,7 @@ func TestQueueFailPropagatesToSubmitter(t *testing.T) {
 
 	_, errc := submitAsync(q, qspec(0))
 	waitPending(t, q, 1)
-	id, _ := q.Claim("w1", 1)
+	id, _ := q.Claim(noWait, "w1", 1)
 	if err := q.Fail(id, qspec(0).Key(), "unknown codec nope"); err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +306,7 @@ func TestQueueSubmitCoalescesDuplicates(t *testing.T) {
 	if st := q.Stats(); st.Submitted != 1 {
 		t.Fatalf("two submits of one spec enqueued %d items", st.Submitted)
 	}
-	id, specs := q.Claim("w1", 10)
+	id, specs := q.Claim(noWait, "w1", 10)
 	if len(specs) != 1 {
 		t.Fatalf("claimed %d specs, want the coalesced 1", len(specs))
 	}
@@ -287,5 +330,59 @@ func TestQueueSubmitHonorsContext(t *testing.T) {
 	cancel()
 	if _, _, err := q.Submit(ctx, qspec(0)); err == nil {
 		t.Fatal("Submit returned despite a cancelled context and no worker")
+	}
+}
+
+// TestQueueHeldClaimWakesOnArrival: a claim waiting on the empty queue
+// is handed a submitted spec at once, and so is the next one when a
+// draining worker nacks that spec back.
+func TestQueueHeldClaimWakesOnArrival(t *testing.T) {
+	q := NewQueue(0, newFakeClock().Now)
+	held := heldClaim(t, q, "first", 5*time.Second)
+	submitAsync(q, qspec(0))
+	if specs := <-held; len(specs) != 1 || specs[0].Key() != qspec(0).Key() {
+		t.Fatalf("held claim got %d specs after the submit, want the submitted one", len(specs))
+	}
+
+	held = heldClaim(t, q, "successor", 5*time.Second)
+	if err := q.Nack(1, nil); err != nil { // lease IDs count from 1
+		t.Fatal(err)
+	}
+	if specs := <-held; len(specs) != 1 || specs[0].Key() != qspec(0).Key() {
+		t.Fatalf("held claim got %d specs after the nack, want the nacked one", len(specs))
+	}
+}
+
+// TestQueueHeldClaimStealsExpiredLease: no event announces a lease
+// expiry, so a claim held across one comes back empty when its context
+// expires, and the next claim round steals the batch. A queue call that reclaims an expired
+// lease meanwhile wakes a held claim at once.
+func TestQueueHeldClaimStealsExpiredLease(t *testing.T) {
+	clk := newFakeClock()
+	q := NewQueue(10*time.Second, clk.Now)
+	submitAsync(q, qspec(0))
+	waitPending(t, q, 1)
+	q.Claim(noWait, "dead-worker", 10)
+
+	held := heldClaim(t, q, "thief", 20*time.Millisecond)
+	clk.Advance(11 * time.Second)
+	if specs := <-held; specs != nil {
+		t.Fatalf("held claim saw an expiry no event announced: %d specs", len(specs))
+	}
+	thief, stolen := q.Claim(noWait, "thief", 10)
+	if thief == 0 || len(stolen) != 1 {
+		t.Fatalf("next claim round did not steal the expired lease: lease %d over %d specs", thief, len(stolen))
+	}
+
+	// The thief dies too; this time a heartbeat from a third worker runs
+	// the reclaim, and the re-enqueue wakes the waiting claim.
+	held = heldClaim(t, q, "heir", 5*time.Second)
+	clk.Advance(11 * time.Second)
+	q.Heartbeat(thief)
+	if specs := <-held; len(specs) != 1 {
+		t.Fatalf("held claim got %d specs after the reclaim, want the stolen one", len(specs))
+	}
+	if st := q.Stats(); st.Stolen != 2 {
+		t.Fatalf("stats.Stolen = %d, want 2 (%+v)", st.Stolen, st)
 	}
 }

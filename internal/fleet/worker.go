@@ -58,12 +58,12 @@ type PullWorker struct {
 	batch   int             // max specs claimed per lease
 	slots   int             // concurrent simulations within a batch
 
-	// sleep paces the idle-poll and heartbeat loops; injectable so the
+	// sleep paces the error-retry and heartbeat loops; injectable so the
 	// package stays free of wall-clock reads and tests run fast.
 	sleep func(ctx context.Context, d time.Duration) error
 
-	// jitter drives the idle-poll jitter: a per-worker seeded stream
-	// (from the worker id), so poll pacing is deterministic per worker
+	// jitter drives the error-retry jitter: a per-worker seeded stream
+	// (from the worker id), so retry pacing is deterministic per worker
 	// yet decorrelated across the fleet. Only the claim-loop goroutine
 	// touches it.
 	jitter *rng.SplitMix64
@@ -132,7 +132,7 @@ func sleepWall(ctx context.Context, d time.Duration) error {
 // counterpart of the leader's -token).
 func (w *PullWorker) SetToken(token string) { w.token = token }
 
-// SetSleep replaces the poll/heartbeat sleeper (tests inject a fake).
+// SetSleep replaces the retry/heartbeat sleeper (tests inject a fake).
 func (w *PullWorker) SetSleep(sleep func(ctx context.Context, d time.Duration) error) {
 	if sleep != nil {
 		w.sleep = sleep
@@ -173,10 +173,11 @@ func (w *PullWorker) Claims() uint64 { return w.claims.Load() }
 // suffered (always 0 outside chaos runs).
 func (w *PullWorker) Crashes() uint64 { return w.crashes.Load() }
 
-// Run polls the leader until ctx cancels or Drain is called. Transient
-// leader errors (leader not up yet, restarting) are retried behind the
-// idle-poll pace; only an unrecoverable protocol disagreement (schema
-// mismatch, bad token) returns an error.
+// Run claims from the leader until ctx cancels or Drain is called. The
+// leader holds empty claims open, so an empty answer is re-claimed at
+// once. Transient leader errors (leader not up yet, restarting) are
+// retried behind a jittered pause; only an unrecoverable protocol
+// disagreement (schema mismatch, bad token) returns an error.
 func (w *PullWorker) Run(ctx context.Context) error {
 	for {
 		if err := ctx.Err(); err != nil {
@@ -193,16 +194,12 @@ func (w *PullWorker) Run(ctx context.Context) error {
 			if isFatal(err) {
 				return err
 			}
-			if err := w.sleep(ctx, w.pollWait(idleWait)); err != nil {
+			if err := w.sleep(ctx, w.pollWait()); err != nil {
 				return nil
 			}
 			continue
 		}
 		if resp.Lease == 0 {
-			wait := time.Duration(resp.WaitMS) * time.Millisecond
-			if err := w.sleep(ctx, w.pollWait(wait)); err != nil {
-				return nil
-			}
 			continue
 		}
 		if resp.Schema != wire.SchemaVersion() {
@@ -217,15 +214,12 @@ func (w *PullWorker) Run(ctx context.Context) error {
 	}
 }
 
-// pollWait jitters an idle-poll wait: uniform in [base/2, 3*base/2)
-// from the worker's seeded stream, so workers started on the same beat
-// spread their polls instead of thundering the leader together — and
-// the spread is reproducible per worker id, not wall-clock dependent.
-func (w *PullWorker) pollWait(base time.Duration) time.Duration {
-	if base <= 0 {
-		base = idleWait
-	}
-	return base/2 + time.Duration(w.jitter.Next()%uint64(base))
+// pollWait is the pause before retrying a failed claim: uniform in
+// [idleWait/2, 3*idleWait/2) from the worker's seeded stream, so workers
+// that lost the leader together spread their retries instead of
+// thundering it when it returns, reproducibly per worker id.
+func (w *PullWorker) pollWait() time.Duration {
+	return idleWait/2 + time.Duration(w.jitter.Next()%uint64(idleWait))
 }
 
 // fatalError marks a protocol disagreement no retry can fix.
@@ -419,9 +413,9 @@ func readBody(r io.Reader) string {
 }
 
 func (w *PullWorker) claim(ctx context.Context) (ClaimResponse, error) {
-	// A per-poll deadline keeps a hung leader connection from wedging
-	// the claim loop (and with it, Drain, which is checked between
-	// polls).
+	// A per-claim deadline, well above the leader's hold, keeps a hung
+	// leader connection from wedging the claim loop (and with it, Drain,
+	// which is checked between claims).
 	cctx, cancel := context.WithTimeout(ctx, claimTimeout)
 	defer cancel()
 	var resp ClaimResponse
