@@ -21,11 +21,39 @@ func predictorsUnderTest() []string {
 	return append(experiment.PredictorNames(), "tage")
 }
 
+// namedOptions is one isolation configuration under test.
+type namedOptions struct {
+	name string
+	opts core.Options
+}
+
+// rotXORFeistel is Noisy-XOR-BP with the strengthened codec and index
+// scrambler of §5.4, the configurations that dispatch through the Codec
+// and Scrambler interfaces instead of the inline XOR paths.
+func rotXORFeistel() core.Options {
+	o := core.OptionsFor(core.NoisyXOR)
+	o.Codec = core.RotXORCodec{}
+	o.Scrambler = core.FeistelScrambler{}
+	return o
+}
+
+// allocOptions are the isolation configurations the steady-state guard
+// covers: every Guard path the predictors' tables take — pass-through,
+// owner tracking, the inline XOR codec with and without index
+// scrambling, and the interface-dispatched codec and scrambler.
+func allocOptions() []namedOptions {
+	var out []namedOptions
+	for _, m := range []core.Mechanism{core.Baseline, core.NoisyXOR, core.PreciseFlush, core.XOR} {
+		out = append(out, namedOptions{m.String(), core.OptionsFor(m)})
+	}
+	return append(out, namedOptions{"Noisy-XOR-BP+rotxor+feistel", rotXORFeistel()})
+}
+
 func TestPredictorSteadyStateAllocs(t *testing.T) {
-	for _, mech := range []core.Mechanism{core.Baseline, core.NoisyXOR, core.PreciseFlush} {
+	for _, o := range allocOptions() {
 		for _, name := range predictorsUnderTest() {
-			t.Run(mech.String()+"/"+name, func(t *testing.T) {
-				ctrl := core.NewController(core.OptionsFor(mech), 1)
+			t.Run(o.name+"/"+name, func(t *testing.T) {
+				ctrl := core.NewController(o.opts, 1)
 				dir := experiment.NewDirPredictor(name, ctrl)
 				d := core.Domain{Thread: 0, Priv: core.User}
 				step := func(i int) {

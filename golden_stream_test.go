@@ -31,26 +31,17 @@ const (
 )
 
 // goldenOptions are the isolation configurations the oracle covers.
-func goldenOptions() []struct {
-	name string
-	opts core.Options
-} {
+func goldenOptions() []namedOptions {
 	plainXOR := core.OptionsFor(core.XOR)
 	plainXOR.EnhancedPHT = false
-	strong := core.OptionsFor(core.NoisyXOR)
-	strong.Codec = core.RotXORCodec{}
-	strong.Scrambler = core.FeistelScrambler{}
-	return []struct {
-		name string
-		opts core.Options
-	}{
+	return []namedOptions{
 		{"baseline", core.OptionsFor(core.Baseline)},
 		{"complete-flush", core.OptionsFor(core.CompleteFlush)},
 		{"precise-flush", core.OptionsFor(core.PreciseFlush)},
 		{"xor", core.OptionsFor(core.XOR)},
 		{"noisy-xor", core.OptionsFor(core.NoisyXOR)},
 		{"xor-plain-pht", plainXOR},
-		{"noisy-rotxor-feistel", strong},
+		{"noisy-rotxor-feistel", rotXORFeistel()},
 	}
 }
 

@@ -208,11 +208,20 @@ func (c *SignedCounter) Restore(r *snap.Reader) {
 	c.value = v
 }
 
-// History is a shift register of branch outcomes of bounded length,
-// supporting the long histories (up to 3000 bits for TAGE_SC_L) as a bit
-// vector. Bit 0 is the most recent outcome.
+// History is a register of the most recent branch outcomes, bounded to a
+// configured length: the long histories TAGE-family predictors index with
+// (1801 bits for TAGE-SC-L). Bit 0 is the most recent outcome.
+//
+// Logically it is a shift register; physically it is a ring of
+// power-of-two size, so Push writes one bit and moves the head instead of
+// shifting every word, and Bit is one masked load. Ring positions past
+// the configured length hold stale outcomes that no accessor exposes.
+// Snapshot emits the logical shift-register layout, independent of where
+// the head happens to be.
 type History struct {
-	bits   []uint64
+	ring   []uint64 // power-of-two word count
+	head   uint     // ring position of bit 0 (the newest outcome)
+	mask   uint     // ring size in bits - 1
 	length uint
 }
 
@@ -221,8 +230,13 @@ func NewHistory(length uint) *History {
 	if length == 0 {
 		panic("bitutil: zero-length history")
 	}
+	words := uint(1)
+	for words*64 < length {
+		words <<= 1
+	}
 	return &History{
-		bits:   make([]uint64, (length+63)/64),
+		ring:   make([]uint64, words),
+		mask:   words*64 - 1,
 		length: length,
 	}
 }
@@ -232,24 +246,19 @@ func NewHistory(length uint) *History {
 //bpvet:hotpath
 func (h *History) Len() uint { return h.length }
 
-// Push shifts in a new outcome as bit 0.
+// Push shifts in a new outcome as bit 0: the head moves back one ring
+// position and the bit there, the oldest in the ring, is overwritten.
 //
 //bpvet:hotpath
 func (h *History) Push(taken bool) {
-	carry := uint64(0)
+	var b uint64
 	if taken {
-		carry = 1
+		b = 1
 	}
-	for i := range h.bits {
-		next := h.bits[i] >> 63
-		h.bits[i] = h.bits[i]<<1 | carry
-		carry = next
-	}
-	// Mask off bits beyond the configured length.
-	top := h.length % 64
-	if top != 0 {
-		h.bits[len(h.bits)-1] &= (1 << top) - 1
-	}
+	pos := (h.head - 1) & h.mask
+	h.head = pos
+	w, sh := &h.ring[pos>>6], pos&63
+	*w = *w&^(1<<sh) | b<<sh
 }
 
 // Bit returns outcome i (0 = most recent). Out-of-range bits read as 0.
@@ -259,19 +268,30 @@ func (h *History) Bit(i uint) uint64 {
 	if i >= h.length {
 		return 0
 	}
-	return (h.bits[i/64] >> (i % 64)) & 1
+	pos := (h.head + i) & h.mask
+	return h.ring[pos>>6] >> (pos & 63) & 1
 }
 
 // Low returns the least significant n bits (n <= 64) as an integer.
+// Bits at or beyond the register length read as 0.
 //
 //bpvet:hotpath
 func (h *History) Low(n uint) uint64 {
 	if n > 64 {
 		panic("bitutil: History.Low beyond 64 bits")
 	}
-	v := h.bits[0]
-	if n < 64 {
-		v &= (1 << n) - 1
+	return h.word(h.head) & Mask(min(n, h.length))
+}
+
+// word returns the 64 ring bits starting at ring position pos, wrapping
+// around the end of the ring.
+//
+//bpvet:hotpath
+func (h *History) word(pos uint) uint64 {
+	lo, off := (pos&h.mask)>>6, pos&63
+	v := h.ring[lo] >> off
+	if off != 0 {
+		v |= h.ring[(lo+1)&(uint(len(h.ring))-1)] << (64 - off)
 	}
 	return v
 }
@@ -280,37 +300,65 @@ func (h *History) Low(n uint) uint64 {
 //
 //bpvet:hotpath
 func (h *History) Reset() {
-	for i := range h.bits {
-		h.bits[i] = 0
+	for i := range h.ring {
+		h.ring[i] = 0
 	}
+	h.head = 0
 }
 
 // Clone returns an independent copy (used to snapshot per-thread state).
 func (h *History) Clone() *History {
-	c := &History{bits: make([]uint64, len(h.bits)), length: h.length}
-	copy(c.bits, h.bits)
-	return c
+	c := *h
+	c.ring = make([]uint64, len(h.ring))
+	copy(c.ring, h.ring)
+	return &c
 }
 
-// Snapshot writes the outcome bits (the length is static configuration).
-func (h *History) Snapshot(w *snap.Writer) { w.U64s(h.bits) }
+// linearWords is the word count of the logical shift-register layout.
+func (h *History) linearWords() int { return int((h.length + 63) / 64) }
 
-// Restore replaces the outcome bits. The snapshot must have been taken
-// from a register of the same length.
-func (h *History) Restore(r *snap.Reader) { r.U64sInto(h.bits) }
+// Snapshot writes the outcome bits in the shift-register layout — word j
+// holds history bits [64j, 64j+64), bits past the length zero — so the
+// bytes do not depend on the ring's head position. The length is static
+// configuration.
+func (h *History) Snapshot(w *snap.Writer) {
+	n := h.linearWords()
+	w.U32(uint32(n))
+	for j := 0; j < n; j++ {
+		v := h.word(h.head + uint(j)*64)
+		if rest := h.length - uint(j)*64; rest < 64 {
+			v &= Mask(rest)
+		}
+		w.U64(v)
+	}
+}
+
+// Restore replaces the outcome bits from the shift-register layout. The
+// snapshot must have been taken from a register of the same length; bits
+// past the length are dropped.
+func (h *History) Restore(r *snap.Reader) {
+	h.Reset()
+	r.U64sInto(h.ring[:h.linearWords()])
+	if top := h.length % 64; top != 0 {
+		h.ring[h.linearWords()-1] &= Mask(top)
+	}
+}
 
 // Folded maintains a cyclically-folded image of a long history, the
 // standard TAGE trick: an L-bit history is compressed into W bits such
 // that pushing one outcome and retiring the outcome that falls off the far
 // end costs O(1). See Seznec's TAGE papers.
-// The metadata fields are deliberately narrow (histories are at most a
-// few thousand bits): a Folded is 16 bytes, so a predictor's whole fold
-// bank spans a handful of cache lines.
+//
+// The fold geometry is precomputed into the two constants the per-push
+// step needs — the re-entry bit and the width mask — so an update is a
+// shift, two XORs and a compare with no variable shift. A Folded is 32
+// bytes (half a cache line), so a predictor's whole fold bank spans a few
+// dozen lines.
 type Folded struct {
-	comp     uint64
-	origLen  uint16 // L: history length being folded
-	compLen  uint16 // W: folded width
-	outPoint uint16 // position where the oldest bit re-enters
+	comp    uint64
+	outBit  uint64 // 1 << (origLen % compLen): where the leaving bit re-enters
+	mask    uint64 // 1<<compLen - 1
+	origLen uint   // L: history length being folded
 }
 
 // NewFolded returns a folder compressing origLen history bits to compLen.
@@ -318,14 +366,30 @@ func NewFolded(origLen, compLen uint) *Folded {
 	if compLen == 0 || compLen > 63 {
 		panic("bitutil: folded width out of range")
 	}
-	if origLen > 1<<16-1 {
-		panic("bitutil: folded history too long")
-	}
 	return &Folded{
-		origLen:  uint16(origLen),
-		compLen:  uint16(compLen),
-		outPoint: uint16(origLen % compLen),
+		outBit:  1 << (origLen % compLen),
+		mask:    Mask(compLen),
+		origLen: origLen,
 	}
+}
+
+// foldStep advances a folded image c by one push: the entering bit in
+// shifts in at the bottom, the leaving bit out (0 or 1) is cancelled at
+// its re-entry position outBit, and the bit carried out of the top folds
+// back into bit 0. c is at most mask, so the carry is exactly "c > mask"
+// after the shift; the carried image is computed unconditionally and
+// selected by that compare, which the compiler lowers to a conditional
+// move (a branch here would mispredict on half of all pushes), where the
+// textbook form (c ^= c >> W; c &= mask) needs a variable shift.
+//
+//bpvet:hotpath
+func foldStep(c, in, out, outBit, mask uint64) uint64 {
+	c = (c<<1 | in) ^ (-out & outBit)
+	folded := c ^ (mask + 1) ^ 1
+	if c > mask {
+		c = folded
+	}
+	return c
 }
 
 // Update incorporates a new outcome given the full history register h,
@@ -334,21 +398,16 @@ func NewFolded(origLen, compLen uint) *Folded {
 //
 //bpvet:hotpath
 func (f *Folded) Update(h *History) {
-	f.UpdateBits(h.Bit(0), h.Bit(uint(f.origLen)))
+	f.UpdateBits(h.Bit(0), h.Bit(f.origLen))
 }
 
 // UpdateBits incorporates a push given the entering bit (history bit 0
 // after the push) and the bit leaving the fold's window (history bit
-// origLen). Predictors that maintain several folds over the same history
-// length — TAGE keeps three per table — read the two bits once and share
-// them across the folds; this is the simulator's hottest loop.
+// origLen), each 0 or 1.
 //
 //bpvet:hotpath
 func (f *Folded) UpdateBits(in, out uint64) {
-	f.comp = (f.comp << 1) | in
-	f.comp ^= out << f.outPoint
-	f.comp ^= f.comp >> f.compLen
-	f.comp &= (1 << f.compLen) - 1
+	f.comp = foldStep(f.comp, in, out, f.outBit, f.mask)
 }
 
 // Value returns the folded image.
@@ -366,13 +425,7 @@ func (f *Folded) Snapshot(w *snap.Writer) { w.U64(f.comp) }
 
 // Restore replaces the folded image, masked to the fold width so corrupt
 // input cannot set bits a live fold could never hold.
-func (f *Folded) Restore(r *snap.Reader) {
-	v := r.U64()
-	if f.compLen != 0 {
-		v &= (1 << f.compLen) - 1
-	}
-	f.comp = v
-}
+func (f *Folded) Restore(r *snap.Reader) { f.comp = r.U64() & f.mask }
 
 // FoldLane advances a contiguous lane of folds by one history push, with
 // one leaving bit per fold. It is the lane-packed form of calling
@@ -385,15 +438,10 @@ func (f *Folded) Restore(r *snap.Reader) {
 //
 //bpvet:hotpath
 func FoldLane(fs []Folded, in uint64, outs []uint64) {
-	if len(outs) < len(fs) {
-		panic("bitutil: FoldLane outs shorter than lane")
-	}
+	outs = outs[:len(fs)]
 	for i := range fs {
 		f := &fs[i]
-		c := (f.comp << 1) | in
-		c ^= outs[i] << f.outPoint
-		c ^= c >> f.compLen
-		f.comp = c & (1<<f.compLen - 1)
+		f.comp = foldStep(f.comp, in, outs[i], f.outBit, f.mask)
 	}
 }
 

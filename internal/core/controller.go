@@ -193,6 +193,7 @@ func (c *Controller) Guard(salt uint64, kind Structure) *Guard {
 	return &Guard{
 		ctrl:     c,
 		keys:     c.keys,
+		codec:    c.opts.Codec,
 		salt:     rng.Mix64(salt),
 		active:   c.inScope(kind),
 		encode:   c.inScope(kind) && c.opts.Mechanism.Encodes(),
@@ -210,12 +211,14 @@ func (c *Controller) Guard(salt uint64, kind Structure) *Guard {
 //
 // Guards sit on the simulator's per-branch path (every table read pays a
 // decode, every index computation a scramble), so the common
-// configurations are flattened at construction: the key file is reached
-// without chasing the controller, and the paper's XOR codec/scrambler —
-// the default everywhere — run inline instead of through the interface.
+// configurations are flattened at construction: the key file and codec
+// are reached without chasing the controller, and the paper's XOR
+// codec/scrambler — the default everywhere — run inline instead of
+// through the interface.
 type Guard struct {
 	ctrl     *Controller
 	keys     *KeyFile
+	codec    Codec
 	salt     uint64
 	active   bool // structure is in the mechanism's scope
 	encode   bool // content encoding applies
@@ -247,13 +250,16 @@ func (g *Guard) IndexKey(d Domain) Key {
 	return g.keys.index[d.Thread][d.Priv] ^ Key(g.salt)
 }
 
-// The guard accessors below are split into an inlinable pass-through
-// check plus an out-of-line encoded path: the pass-through case (the
-// baseline and the flush mechanisms, i.e. every Figure 1-class cell)
-// must cost a predicted branch, not a function call, because these sit
-// inside every predictor table access.
+// The codec accessors below sit inside every table access, so the
+// pass-through case (the baseline and the flush mechanisms, i.e. every
+// Figure 1-class cell) must cost a predicted branch, not a function
+// call. Encode and Decode (the BTB and RAS entries) inline that check and
+// call out for the encoded case; WordKey, EncodeWith and DecodeWith (the
+// table-word path) inline whole, the XOR codec as one instruction, and
+// call out only for a non-XOR codec's interface method.
 
-// Encode applies the content codec (identity when out of scope).
+// Encode applies the content codec with d's content key (identity when
+// out of scope).
 //
 //bpvet:hotpath
 func (g *Guard) Encode(v uint64, d Domain) uint64 {
@@ -263,13 +269,7 @@ func (g *Guard) Encode(v uint64, d Domain) uint64 {
 	return g.encodeEnc(v, d)
 }
 
-func (g *Guard) encodeEnc(v uint64, d Domain) uint64 {
-	k := g.ContentKey(d)
-	if g.codecXOR {
-		return v ^ uint64(k)
-	}
-	return g.ctrl.opts.Codec.Encode(v, k)
-}
+func (g *Guard) encodeEnc(v uint64, d Domain) uint64 { return g.EncodeWith(v, g.ContentKey(d)) }
 
 // Decode inverts Encode.
 //
@@ -281,50 +281,50 @@ func (g *Guard) Decode(v uint64, d Domain) uint64 {
 	return g.decodeEnc(v, d)
 }
 
-func (g *Guard) decodeEnc(v uint64, d Domain) uint64 {
+func (g *Guard) decodeEnc(v uint64, d Domain) uint64 { return g.DecodeWith(v, g.ContentKey(d)) }
+
+// WordKey returns the content key for physical word `word` of a table
+// under domain d: with the Enhanced-XOR-PHT schedule, a key derived from
+// the domain key and the word index ("different logical entries nearby in
+// the PHT can use different keys", §5.2); without it, the domain key
+// itself; 0 when content encoding does not apply. A key is valid only
+// until the next key rotation — callers derive it per access and never
+// carry it from a prediction to the matching update.
+//
+//bpvet:hotpath
+func (g *Guard) WordKey(d Domain, word uint64) Key {
 	k := g.ContentKey(d)
-	if g.codecXOR {
-		return v ^ uint64(k)
+	if g.enhanced && g.encode {
+		k = Key(rng.Mix64(uint64(k) + word*0x9e3779b97f4a7c15))
 	}
-	return g.ctrl.opts.Codec.Decode(v, k)
+	return k
 }
 
-// EncodeWord encodes v with a word-indexed key derived from the domain
-// key: the Enhanced-XOR-PHT schedule ("different logical entries nearby in
-// the PHT can use different keys", §5.2). Identity when out of scope.
+// EncodeWith applies the content codec with key k, typically a WordKey
+// (identity when out of scope).
 //
 //bpvet:hotpath
-func (g *Guard) EncodeWord(v uint64, d Domain, word uint64) uint64 {
+func (g *Guard) EncodeWith(v uint64, k Key) uint64 {
 	if !g.encode {
 		return v
 	}
-	k := g.wordKey(d, word)
 	if g.codecXOR {
 		return v ^ uint64(k)
 	}
-	return g.ctrl.opts.Codec.Encode(v, k)
+	return g.codec.Encode(v, k)
 }
 
-// DecodeWord inverts EncodeWord.
+// DecodeWith inverts EncodeWith.
 //
 //bpvet:hotpath
-func (g *Guard) DecodeWord(v uint64, d Domain, word uint64) uint64 {
+func (g *Guard) DecodeWith(v uint64, k Key) uint64 {
 	if !g.encode {
 		return v
 	}
-	k := g.wordKey(d, word)
 	if g.codecXOR {
 		return v ^ uint64(k)
 	}
-	return g.ctrl.opts.Codec.Decode(v, k)
-}
-
-func (g *Guard) wordKey(d Domain, word uint64) Key {
-	base := g.ContentKey(d)
-	if !g.enhanced {
-		return base
-	}
-	return Key(rng.Mix64(uint64(base) + word*0x9e3779b97f4a7c15))
+	return g.codec.Decode(v, k)
 }
 
 // ScrambleIndex applies the index encoding (identity unless the mechanism
@@ -341,7 +341,7 @@ func (g *Guard) ScrambleIndex(idx uint64, d Domain, nbits uint) uint64 {
 }
 
 func (g *Guard) scrambleEnc(idx uint64, d Domain, nbits uint) uint64 {
-	k := g.keys.index[d.Thread][d.Priv] ^ Key(g.salt)
+	k := g.IndexKey(d)
 	if g.scramXOR {
 		return (idx ^ uint64(k)) & mask(nbits)
 	}

@@ -246,8 +246,8 @@ func TestGuardWordRoundTrip(t *testing.T) {
 		g := c.Guard(0, StructAll)
 		d := Domain{Thread: 0, Priv: User}
 		f := func(v uint64, w uint16) bool {
-			word := uint64(w)
-			return g.DecodeWord(g.EncodeWord(v, d, word), d, word) == v
+			k := g.WordKey(d, uint64(w))
+			return g.DecodeWith(g.EncodeWith(v, k), k) == v
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 			t.Errorf("enhanced=%v: %v", enhanced, err)
@@ -261,15 +261,15 @@ func TestEnhancedWordKeysDiffer(t *testing.T) {
 	c := NewController(o, 1)
 	g := c.Guard(0, StructAll)
 	d := Domain{Thread: 0, Priv: User}
-	if g.EncodeWord(0, d, 0) == g.EncodeWord(0, d, 1) {
+	if g.WordKey(d, 0) == g.WordKey(d, 1) {
 		t.Fatal("enhanced schedule reuses the key across words")
 	}
 	// Plain (non-enhanced) XOR-PHT uses one key for all words.
 	o.EnhancedPHT = false
 	c2 := NewController(o, 1)
 	g2 := c2.Guard(0, StructAll)
-	if g2.EncodeWord(0, d, 0) != g2.EncodeWord(0, d, 1) {
-		t.Fatal("plain schedule should reuse the key across words")
+	if g2.WordKey(d, 0) != g2.WordKey(d, 1) || g2.WordKey(d, 0) != g2.ContentKey(d) {
+		t.Fatal("plain schedule should reuse the content key across words")
 	}
 }
 

@@ -13,7 +13,8 @@
 // Every weight column is a secured WordArray, so Noisy-XOR-PHT applies
 // exactly as it does to the other direction predictors: the row index
 // passes through the domain's index scrambler and the stored weights
-// through its content codec.
+// through its content codec. The columns share one guard and geometry, so
+// a row's weights share one word key (store.WordArray.Key).
 package perceptron
 
 import (
@@ -108,20 +109,22 @@ func (p *Perceptron) encode(w int) uint64 {
 	return uint64(w + bias)
 }
 
-// Predict implements predictor.DirPredictor.
+// Predict implements predictor.DirPredictor. Every weight column shares
+// one guard and geometry, so the row's word key is derived once for all
+// of them.
 //
 //bpvet:hotpath
 func (p *Perceptron) Predict(d core.Domain, pc uint64) bool {
 	row := p.row(d, pc)
 	hist := p.ghr[d.Thread]
-	sum := p.decode(p.weights[0].Get(d, row))
-	for i := uint(0); i < p.cfg.HistoryBits; i++ {
-		w := p.decode(p.weights[i+1].Get(d, row))
-		if hist>>i&1 == 1 {
-			sum += w
-		} else {
-			sum -= w
-		}
+	k := p.weights[0].Key(d, row)
+	sum := p.decode(p.weights[0].GetWith(k, row))
+	for i, col := range p.weights[1:] {
+		// Add the weight when history bit i is set and subtract it
+		// otherwise, as a conditional negate: neg is 0 or -1.
+		w := p.decode(col.GetWith(k, row))
+		neg := int(hist>>i&1) - 1
+		sum += w ^ neg - neg
 	}
 	p.scratch[d.Thread] = scratch{row: row, hist: hist, sum: sum}
 	return sum >= 0
@@ -139,12 +142,15 @@ func (p *Perceptron) Update(d core.Domain, pc uint64, taken bool) {
 		margin = -margin
 	}
 	if predicted != taken || margin <= p.theta {
-		p.weights[0].Update(d, s.row, func(v uint64) uint64 {
+		// The row key is derived again rather than carried from Predict:
+		// a key rotation in between must be honored.
+		k := p.weights[0].Key(d, s.row)
+		p.weights[0].UpdateWith(d, k, s.row, func(v uint64) uint64 {
 			return p.encode(p.decode(v) + step(taken))
 		})
-		for i := uint(0); i < p.cfg.HistoryBits; i++ {
+		for i, col := range p.weights[1:] {
 			h := s.hist>>i&1 == 1
-			p.weights[i+1].Update(d, s.row, func(v uint64) uint64 {
+			col.UpdateWith(d, k, s.row, func(v uint64) uint64 {
 				return p.encode(p.decode(v) + step(h == taken))
 			})
 		}

@@ -36,14 +36,13 @@ type WordArray struct {
 
 	// Hot-path precomputation: perWord is always a power of two (64 is
 	// only divisible by powers of two; awkward widths use one entry per
-	// word), so locate reduces to a shift and a mask. plain records a
-	// pass-through guard, skipping the codec calls entirely — Get/Set
-	// are the innermost operations of every predictor access.
-	wordShift  uint   // log2(perWord)
-	slotMask   uint64 // perWord - 1
-	entryMask  uint64 // Mask(entryBits)
-	entryShift uint64 // log2(entryBits) for packed layouts (slot * entryBits == slot << entryShift)
-	plain      bool   // guard performs no content encoding
+	// word), so locate reduces to two constant-masked shifts. plain
+	// records a pass-through guard, letting Get skip the codec entirely —
+	// Get/Set are the innermost operations of every predictor access.
+	wordShift uint   // log2(perWord)
+	bitShift  uint   // (idx << bitShift) & 63 is the entry's bit offset: log2(entryBits) when packed, 6 (offset 0) otherwise
+	entryMask uint64 // Mask(entryBits)
+	plain     bool   // guard performs no content encoding
 
 	// owners tracks the hardware thread that last wrote each *word* (the
 	// paper's Precise Flush augments entries with thread IDs; tracking at
@@ -89,14 +88,15 @@ func NewWordArrayInit(guard *core.Guard, indexBits, entryBits uint, initFn func(
 		indexBits: indexBits,
 		initWords: make([]uint64, nWords),
 		wordShift: bitutil.Log2(uint64(perWord)),
-		slotMask:  uint64(perWord) - 1,
+		bitShift:  6,
 		entryMask: bitutil.Mask(entryBits),
 		plain:     !guard.Encodes(),
 	}
 	if perWord > 1 {
 		// Packed layouts only exist for power-of-two entry widths (the
-		// divisors of 64), so the slot-to-bit-offset multiply is a shift.
-		a.entryShift = uint64(bitutil.Log2(uint64(entryBits)))
+		// divisors of 64), and perWord*entryBits == 64, so the slot's bit
+		// offset (idx mod perWord)*entryBits is (idx*entryBits) mod 64.
+		a.bitShift = bitutil.Log2(uint64(entryBits))
 	}
 	for idx := uint64(0); idx < uint64(entries); idx++ {
 		word, shift := a.locate(idx)
@@ -119,75 +119,124 @@ func (a *WordArray) IndexBits() uint { return a.indexBits }
 // EntryBits returns the logical entry width in bits.
 func (a *WordArray) EntryBits() uint { return a.entryBits }
 
-// locate maps a logical index to (word, bit offset).
+// locate maps a logical index to (word, bit offset). Both shift counts
+// are masked to 63, which they never exceed, so neither shift needs the
+// oversized-count fixup Go otherwise emits.
 func (a *WordArray) locate(idx uint64) (word uint64, shift uint) {
-	return idx >> a.wordShift, uint(idx&a.slotMask) * a.entryBits
+	return idx >> (a.wordShift & 63), uint(idx<<(a.bitShift&63)) & 63
 }
 
 // Get reads entry idx as domain d, decoding the containing word with d's
 // content key. Reading a word written by a different domain (or before a
 // key rotation) therefore yields noise — the content-isolation property.
-// The pass-through case is kept small enough to inline into predictor
-// lookup loops; the encoded case pays one out-of-line call.
+// Get inlines into predictor lookup loops: the pass-through case is a
+// predicted branch and a masked load, the encoded case one out-of-line
+// call.
 //
 //bpvet:hotpath
 func (a *WordArray) Get(d core.Domain, idx uint64) uint64 {
-	if a.plain {
-		return (a.words[idx>>a.wordShift] >> ((idx & a.slotMask) << a.entryShift)) & a.entryMask
-	}
-	return a.getEncoded(d, idx)
+	return a.read(d, idx, (*WordArray).getEncoded)
 }
 
+// read is Get's body. The encoded path arrives as a function parameter
+// because the inliner prices a call through a parameter at 17 against 57
+// for a static call, and that difference is what fits the pass-through
+// read and the fallback into one inlinable function; once inlined, the
+// argument is the constant getEncoded.
+//
+//bpvet:hotpath
+func (a *WordArray) read(d core.Domain, idx uint64, encoded func(*WordArray, core.Domain, uint64) uint64) uint64 {
+	if a.plain {
+		return a.words[idx>>(a.wordShift&63)] >> (idx << a.bitShift & 63) & a.entryMask
+	}
+	return encoded(a, d, idx)
+}
+
+// getEncoded is Get's out-of-line path under an encoding guard.
+//
+//bpvet:hotpath
 func (a *WordArray) getEncoded(d core.Domain, idx uint64) uint64 {
 	word, shift := a.locate(idx)
-	w := a.guard.DecodeWord(a.words[word], d, word)
-	return (w >> shift) & a.entryMask
+	k := a.guard.WordKey(d, word)
+	return a.guard.DecodeWith(a.words[word], k) >> shift & a.entryMask
+}
+
+// Key returns the codec key of the word holding entry idx under domain d
+// (Guard.WordKey). Arrays built on the same guard with the same geometry
+// (index and entry width) share word keys, so a predictor reading one row
+// across several such columns — the perceptron's weights — derives the
+// key once and passes it to GetWith/UpdateWith on each. The key must be
+// derived again for every access: one carried from a prediction to its
+// update would miss a key rotation in between.
+//
+//bpvet:hotpath
+func (a *WordArray) Key(d core.Domain, idx uint64) core.Key {
+	return a.guard.WordKey(d, idx>>a.wordShift)
+}
+
+// GetWith reads entry idx, decoding with k = Key(d, idx) of this array or
+// of one sharing its guard and geometry.
+//
+//bpvet:hotpath
+func (a *WordArray) GetWith(k core.Key, idx uint64) uint64 {
+	word, shift := a.locate(idx)
+	return a.guard.DecodeWith(a.words[word], k) >> shift & a.entryMask
 }
 
 // Set writes entry idx as domain d: the containing word is decoded,
 // modified, and re-encoded with d's key, modelling the hardware
 // read-modify-write of a sub-word update (§5.2 "the original counter needs
 // to be read out of the PHT (and decoded) first before being updated,
-// re-encoded, and written back").
+// re-encoded, and written back"). The word key is derived once for both
+// directions.
 //
 //bpvet:hotpath
 func (a *WordArray) Set(d core.Domain, idx uint64, v uint64) {
 	word, shift := a.locate(idx)
-	w := a.words[word]
-	if !a.plain {
-		w = a.guard.DecodeWord(w, d, word)
-	}
+	k := a.guard.WordKey(d, word)
 	m := a.entryMask << shift
-	w = (w &^ m) | ((v << shift) & m)
-	if !a.plain {
-		w = a.guard.EncodeWord(w, d, word)
-	}
-	a.words[word] = w
-	if a.owners != nil {
-		a.owners[word] = d.Thread
-		a.valid[word] = true
-	}
+	w := a.guard.DecodeWith(a.words[word], k)
+	a.words[word] = a.guard.EncodeWith(w&^m|(v<<shift)&m, k)
+	a.own(word, d.Thread)
 }
 
-// Update applies fn to entry idx under domain d in one decode/encode pass.
+// Update applies fn to entry idx under domain d in one decode/encode pass,
+// deriving the word key once for both directions.
 //
 //bpvet:hotpath
 func (a *WordArray) Update(d core.Domain, idx uint64, fn func(uint64) uint64) {
 	word, shift := a.locate(idx)
-	w := a.words[word]
-	if !a.plain {
-		w = a.guard.DecodeWord(w, d, word)
-	}
-	old := (w >> shift) & a.entryMask
-	v := fn(old) & a.entryMask
+	k := a.guard.WordKey(d, word)
+	w := a.guard.DecodeWith(a.words[word], k)
 	m := a.entryMask << shift
-	w = (w &^ m) | (v << shift)
-	if !a.plain {
-		w = a.guard.EncodeWord(w, d, word)
-	}
-	a.words[word] = w
+	w = w&^m | fn(w>>shift&a.entryMask)<<shift&m
+	a.words[word] = a.guard.EncodeWith(w, k)
+	a.own(word, d.Thread)
+}
+
+// UpdateWith is Update with the word key k supplied by the caller, under
+// the same contract as GetWith. (Its body repeats Update's rather than
+// sharing a helper: the codec's interface fallbacks put any shared
+// read-modify-write over the inlining budget, and Update is too hot to
+// pay a second call.)
+//
+//bpvet:hotpath
+func (a *WordArray) UpdateWith(d core.Domain, k core.Key, idx uint64, fn func(uint64) uint64) {
+	word, shift := a.locate(idx)
+	w := a.guard.DecodeWith(a.words[word], k)
+	m := a.entryMask << shift
+	w = w&^m | fn(w>>shift&a.entryMask)<<shift&m
+	a.words[word] = a.guard.EncodeWith(w, k)
+	a.own(word, d.Thread)
+}
+
+// own records thread t as the last writer of a word (Precise Flush
+// owner tracking; a no-op on arrays without it).
+//
+//bpvet:hotpath
+func (a *WordArray) own(word uint64, t core.HWThread) {
 	if a.owners != nil {
-		a.owners[word] = d.Thread
+		a.owners[word] = t
 		a.valid[word] = true
 	}
 }

@@ -1,10 +1,12 @@
 package store
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 
 	"xorbp/internal/core"
+	"xorbp/internal/snap"
 )
 
 func guardFor(m core.Mechanism, enhanced bool) *core.Guard {
@@ -194,4 +196,56 @@ func TestWordArrayPanicsOnBadWidth(t *testing.T) {
 			NewWordArray(guardFor(core.Baseline, false), 3, w, 0)
 		}()
 	}
+}
+
+// TestKeyedAccessMatchesDomainAccess pins the keyed row access to the
+// per-entry one for every entry width, under the XOR and rotate-XOR
+// codecs with and without the Enhanced word schedule: a key from Key
+// reads through GetWith exactly what Get reads, on the array that
+// derived it and on a twin sharing its guard and geometry, and
+// UpdateWith leaves the physical words exactly as Update does.
+func TestKeyedAccessMatchesDomainAccess(t *testing.T) {
+	for _, codec := range []core.Codec{core.XORCodec{}, core.RotXORCodec{}} {
+		for _, enhanced := range []bool{false, true} {
+			o := core.OptionsFor(core.NoisyXOR)
+			o.Codec, o.EnhancedPHT = codec, enhanced
+			g := core.NewController(o, 3).Guard(7, core.StructAll)
+			d := core.Domain{Thread: 1, Priv: core.Kernel}
+			for entryBits := uint(1); entryBits <= 64; entryBits++ {
+				mask := uint64(1)<<entryBits - 1
+				if entryBits == 64 {
+					mask = ^uint64(0)
+				}
+				a := NewWordArray(g, 7, entryBits, 0)
+				twin := NewWordArray(g, 7, entryBits, 0)
+				viaUpdate := NewWordArray(g, 7, entryBits, 0)
+				viaKeyed := NewWordArray(g, 7, entryBits, 0)
+				for i := uint64(0); i < a.Len(); i++ {
+					a.Set(d, i, i*0x9e3779b97f4a7c15)
+					twin.Set(d, i, ^i*0x9e37)
+				}
+				for i := uint64(0); i < a.Len(); i++ {
+					k := a.Key(d, i)
+					if got, want := a.GetWith(k, i), a.Get(d, i); got != want || want != i*0x9e3779b97f4a7c15&mask {
+						t.Fatalf("%s enhanced=%v w=%d: GetWith(%d) = %#x, Get = %#x", codec.Name(), enhanced, entryBits, i, got, want)
+					}
+					if got, want := twin.GetWith(k, i), twin.Get(d, i); got != want {
+						t.Fatalf("%s enhanced=%v w=%d: twin GetWith(%d) = %#x, Get = %#x", codec.Name(), enhanced, entryBits, i, got, want)
+					}
+					bump := func(v uint64) uint64 { return v*5 + i }
+					viaUpdate.Update(d, i, bump)
+					viaKeyed.UpdateWith(d, viaKeyed.Key(d, i), i, bump)
+				}
+				if !bytes.Equal(snapshotBytes(viaUpdate), snapshotBytes(viaKeyed)) {
+					t.Fatalf("%s enhanced=%v w=%d: UpdateWith left different words than Update", codec.Name(), enhanced, entryBits)
+				}
+			}
+		}
+	}
+}
+
+func snapshotBytes(a *WordArray) []byte {
+	var w snap.Writer
+	a.Snapshot(&w)
+	return w.Bytes()
 }

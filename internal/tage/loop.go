@@ -48,26 +48,53 @@ type LoopPredictor struct {
 	// rows[set*Ways+way], each a packed word in the WordArray.
 	rows *store.WordArray
 	age  []uint8 // architectural replacement metadata
+	f    rowFields
 }
 
-// Row layout (LSB first): tag | past(IterBits) | current(IterBits) |
-// conf(2) | dir(1) | valid(1).
+// rowFields is the row layout, precomputed from the configuration so the
+// per-branch pack/unpack is constant masks and shifts. Layout (LSB
+// first): tag | past(IterBits) | current(IterBits) | conf(2) | dir(1) |
+// valid(1).
+type rowFields struct {
+	tagMask, iterMask                 uint64
+	pastAt, curAt, confAt, dirAt, vAt uint // bit offset of each field
+	setMask                           uint64
+	pcTagShift                        uint // pc bits above the set index form the tag
+}
+
+// newRowFields derives the row layout of a configuration.
+func newRowFields(cfg LoopConfig) rowFields {
+	tb, ib := cfg.TagBits, cfg.IterBits
+	return rowFields{
+		tagMask:    bitutil.Mask(tb),
+		iterMask:   bitutil.Mask(ib),
+		pastAt:     tb,
+		curAt:      tb + ib,
+		confAt:     tb + 2*ib,
+		dirAt:      tb + 2*ib + 2,
+		vAt:        tb + 2*ib + 3,
+		setMask:    bitutil.Mask(cfg.SetBits),
+		pcTagShift: pcShift + cfg.SetBits,
+	}
+}
+
 func (l *LoopPredictor) unpackRow(w uint64) (tag, past, cur, conf, dir, valid uint64) {
-	tb, ib := l.cfg.TagBits, l.cfg.IterBits
-	tag = w & bitutil.Mask(tb)
-	past = (w >> tb) & bitutil.Mask(ib)
-	cur = (w >> (tb + ib)) & bitutil.Mask(ib)
-	conf = (w >> (tb + 2*ib)) & 3
-	dir = (w >> (tb + 2*ib + 2)) & 1
-	valid = (w >> (tb + 2*ib + 3)) & 1
-	return
+	f := &l.f
+	return w & f.tagMask, w >> f.pastAt & f.iterMask, w >> f.curAt & f.iterMask,
+		w >> f.confAt & 3, w >> f.dirAt & 1, w >> f.vAt & 1
 }
 
 func (l *LoopPredictor) packRow(tag, past, cur, conf, dir, valid uint64) uint64 {
-	tb, ib := l.cfg.TagBits, l.cfg.IterBits
-	return (valid << (tb + 2*ib + 3)) | (dir << (tb + 2*ib + 2)) |
-		(conf << (tb + 2*ib)) | (cur << (tb + ib)) | (past << tb) |
-		(tag & bitutil.Mask(tb))
+	f := &l.f
+	return valid<<f.vAt | dir<<f.dirAt | conf<<f.confAt | cur<<f.curAt |
+		past<<f.pastAt | tag&f.tagMask
+}
+
+// hit reports whether a row is valid and carries tag.
+//
+//bpvet:hotpath
+func (l *LoopPredictor) hit(row, tag uint64) bool {
+	return row>>l.f.vAt&1 == 1 && row&l.f.tagMask == tag
 }
 
 // NewLoopPredictor builds the loop predictor and registers it for flush
@@ -76,6 +103,7 @@ func NewLoopPredictor(cfg LoopConfig, ctrl *core.Controller) *LoopPredictor {
 	l := &LoopPredictor{
 		cfg:   cfg,
 		guard: ctrl.Guard(0x100b, core.StructPHT),
+		f:     newRowFields(cfg),
 	}
 	rowBits := cfg.TagBits + 2*cfg.IterBits + 2 + 1 + 1
 	idxBits := cfg.SetBits + bitutil.Log2(uint64(cfg.Ways))
@@ -89,12 +117,11 @@ func NewLoopPredictor(cfg LoopConfig, ctrl *core.Controller) *LoopPredictor {
 }
 
 func (l *LoopPredictor) set(d core.Domain, pc uint64) uint64 {
-	logical := (pc >> pcShift) & bitutil.Mask(l.cfg.SetBits)
-	return l.guard.ScrambleIndex(logical, d, l.cfg.SetBits)
+	return l.guard.ScrambleIndex(pc>>pcShift&l.f.setMask, d, l.cfg.SetBits)
 }
 
 func (l *LoopPredictor) tagOf(pc uint64) uint64 {
-	return (pc >> (pcShift + l.cfg.SetBits)) & bitutil.Mask(l.cfg.TagBits)
+	return pc >> l.f.pcTagShift & l.f.tagMask
 }
 
 func (l *LoopPredictor) rowIdx(set uint64, way int) uint64 {
@@ -119,10 +146,10 @@ func (l *LoopPredictor) Predict(d core.Domain, pc uint64, s *loopScratch) (pred,
 	s.predSeen = true
 	for w := 0; w < int(l.cfg.Ways); w++ {
 		row := l.rows.Get(d, l.rowIdx(s.set, w))
-		tag, past, cur, conf, dir, valid := l.unpackRow(row)
-		if valid == 0 || tag != s.tag {
+		if !l.hit(row, s.tag) {
 			continue
 		}
+		_, past, cur, conf, dir, _ := l.unpackRow(row)
 		s.way = w
 		// Body direction until the known trip count, then the exit.
 		s.pred = dir == 1
@@ -149,15 +176,15 @@ func (l *LoopPredictor) Update(d core.Domain, pc uint64, taken bool, s *loopScra
 	if s.way >= 0 {
 		idx := l.rowIdx(s.set, s.way)
 		l.rows.Update(d, idx, func(w uint64) uint64 {
-			tag, past, cur, conf, dir, valid := l.unpackRow(w)
-			if valid == 0 || tag != s.tag {
+			if !l.hit(w, s.tag) {
 				return w // entry was reclaimed between predict and update
 			}
+			tag, past, cur, conf, dir, _ := l.unpackRow(w)
 			body := dir == 1
 			if taken == body {
 				// Still inside the loop.
 				cur++
-				if cur >= bitutil.Mask(l.cfg.IterBits) {
+				if cur >= l.f.iterMask {
 					// Trip-count overflow: give up on this entry.
 					l.age[idx] = 0
 					return 0

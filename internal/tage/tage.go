@@ -14,6 +14,8 @@
 package tage
 
 import (
+	"math/bits"
+
 	"xorbp/internal/bitutil"
 	"xorbp/internal/core"
 	"xorbp/internal/predictor"
@@ -77,8 +79,9 @@ func LTAGEConfig() Config {
 // separate architectural array.
 const ctrBits = 3
 
-// threadState is the per-hardware-thread speculative state: the raw
-// history register and the folded images used for indexing and tagging.
+// threadState is the per-hardware-thread state: the raw history register,
+// the folded images used for indexing and tagging, and the scratch that
+// carries a prediction's provider metadata to its update.
 //
 // The folds are lane-packed: one flat slice of 3*nTab images laid out as
 // three parallel lanes in table order — index folds in [0, nTab), first
@@ -86,19 +89,17 @@ const ctrBits = 3
 // per-branch fold advance (the simulator's hottest loop) gathers each
 // table's leaving history bit once into outs, then streams each lane
 // through bitutil.FoldLane: three tight register-resident loops over
-// contiguous 16-byte Folded values, with no per-table struct hop.
+// contiguous Folded values, with no per-table struct hop.
 type threadState struct {
 	hist  *bitutil.History
 	folds []bitutil.Folded // 3*nTab images in three lanes (idx, t0, t1)
 	outs  []uint64         // per-table leaving-bit scratch for the fold pass
+	s     scratch
 }
 
-// Lane accessors for threadState.folds. i is the tagged table index.
-func (ts *threadState) idxFold(n, i int) *bitutil.Folded { return &ts.folds[i] }
-func (ts *threadState) t0Fold(n, i int) *bitutil.Folded  { return &ts.folds[n+i] }
-func (ts *threadState) t1Fold(n, i int) *bitutil.Folded  { return &ts.folds[2*n+i] }
-
-// scratch carries the prediction's provider metadata to the update.
+// scratch carries the prediction's provider metadata to the update. It
+// holds table positions and counter values, never decoded words or keys:
+// the update re-reads and re-encodes under whatever keys are live then.
 type scratch struct {
 	baseIdx   uint64
 	baseCtr   uint64
@@ -115,6 +116,7 @@ type scratch struct {
 	// per-table values computed at predict time (for allocation)
 	indexes []uint64
 	tags    []uint64
+	ctrs    []uint64
 
 	loop loopScratch
 }
@@ -146,11 +148,11 @@ type TAGE struct {
 	loop *LoopPredictor
 
 	useAltOnNA bitutil.SignedCounter
-	tick       uint64
+	tick       uint64 // updates so far
+	ageIn      uint64 // updates until the next usefulness aging; 0 = never
 	alloc      *rng.Xoshiro256
 
 	threads [core.MaxHWThreads]*threadState
-	scratch [core.MaxHWThreads]*scratch
 }
 
 // New builds a TAGE (or LTAGE, when cfg.Loop is set) predictor and
@@ -159,6 +161,9 @@ func New(cfg Config, ctrl *core.Controller) *TAGE {
 	n := len(cfg.TableBits)
 	if n == 0 || len(cfg.TagBits) != n || len(cfg.HistLengths) != n {
 		panic("tage: inconsistent table configuration")
+	}
+	if n >= 64 {
+		panic("tage: more tagged tables than the lookup's hit mask holds")
 	}
 	t := &TAGE{
 		cfg:        cfg,
@@ -187,6 +192,7 @@ func New(cfg Config, ctrl *core.Controller) *TAGE {
 	if cfg.Loop != nil {
 		t.loop = NewLoopPredictor(*cfg.Loop, ctrl)
 	}
+	t.ageIn = t.ageCountdown()
 	ctrl.Register(t, core.StructPHT)
 	return t
 }
@@ -197,43 +203,39 @@ func (t *TAGE) Name() string { return t.cfg.Name }
 // maxHist returns the longest configured history.
 func (t *TAGE) maxHist() uint { return t.cfg.HistLengths[t.nTab-1] }
 
-// state returns (lazily creating) the per-thread history state.
+// state returns the per-thread state. After a thread's first branch it
+// is one array load and a nil check, inlined into Predict and Update.
 //
-//bpvet:coldinit allocates once per hardware thread on first touch; every later call is a nil-checked array load
+//bpvet:hotpath
 func (t *TAGE) state(th core.HWThread) *threadState {
-	if t.threads[th] == nil {
-		ts := &threadState{
-			hist:  bitutil.NewHistory(t.maxHist() + 1),
-			folds: make([]bitutil.Folded, 3*t.nTab),
-			outs:  make([]uint64, t.nTab),
-		}
-		for i := 0; i < t.nTab; i++ {
-			ts.folds[i] = *bitutil.NewFolded(t.cfg.HistLengths[i], t.cfg.TableBits[i])
-			ts.folds[t.nTab+i] = *bitutil.NewFolded(t.cfg.HistLengths[i], t.cfg.TagBits[i])
-			ts.folds[2*t.nTab+i] = *bitutil.NewFolded(t.cfg.HistLengths[i], t.cfg.TagBits[i]-1)
-		}
-		t.threads[th] = ts
-		t.scratch[th] = &scratch{
-			indexes: make([]uint64, t.nTab),
-			tags:    make([]uint64, t.nTab),
-		}
+	if ts := t.threads[th]; ts != nil {
+		return ts
 	}
-	return t.threads[th]
+	return t.newState(th)
 }
 
-// index computes tagged table i's physical index for (d, pc).
-func (t *TAGE) index(ts *threadState, d core.Domain, i int, pc uint64) uint64 {
-	tb := &t.tabs[i]
-	p := pc >> pcShift
-	logical := p ^ (p >> tb.pcFold) ^ ts.idxFold(t.nTab, i).Value()
-	return tb.guard.ScrambleIndex(logical&tb.idxMask, d, tb.bits)
-}
-
-// tag computes tagged table i's logical tag for pc.
-func (t *TAGE) tag(ts *threadState, i int, pc uint64) uint64 {
-	p := pc >> pcShift
-	v := p ^ ts.t0Fold(t.nTab, i).Value() ^ (ts.t1Fold(t.nTab, i).Value() << 1)
-	return v & t.tabs[i].tagMask
+// newState creates a thread's history state on its first touch.
+//
+//bpvet:coldinit allocates once per hardware thread on first touch
+func (t *TAGE) newState(th core.HWThread) *threadState {
+	n := t.nTab
+	ts := &threadState{
+		hist:  bitutil.NewHistory(t.maxHist() + 1),
+		folds: make([]bitutil.Folded, 3*n),
+		outs:  make([]uint64, n),
+		s: scratch{
+			indexes: make([]uint64, n),
+			tags:    make([]uint64, n),
+			ctrs:    make([]uint64, n),
+		},
+	}
+	for i := 0; i < n; i++ {
+		ts.folds[i] = *bitutil.NewFolded(t.cfg.HistLengths[i], t.cfg.TableBits[i])
+		ts.folds[n+i] = *bitutil.NewFolded(t.cfg.HistLengths[i], t.cfg.TagBits[i])
+		ts.folds[2*n+i] = *bitutil.NewFolded(t.cfg.HistLengths[i], t.cfg.TagBits[i]-1)
+	}
+	t.threads[th] = ts
+	return ts
 }
 
 // unpack splits a tagged entry word into (tag, ctr).
@@ -253,7 +255,7 @@ func (t *TAGE) pack(i int, tag, ctr uint64) uint64 {
 //bpvet:hotpath
 func (t *TAGE) Predict(d core.Domain, pc uint64) bool {
 	ts := t.state(d.Thread)
-	s := t.scratch[d.Thread]
+	s := &ts.s
 
 	// Base prediction.
 	baseLogical := (pc >> pcShift) & bitutil.Mask(t.cfg.BaseBits)
@@ -261,40 +263,49 @@ func (t *TAGE) Predict(d core.Domain, pc uint64) bool {
 	s.baseCtr = t.base.Get(d, s.baseIdx)
 	s.basePred = s.baseCtr >= 2
 
-	// Scan tagged tables from longest history down for the provider and
-	// the alternate, computing each table's index hash and tag lazily as
-	// the scan reaches it. Tables below the early break never compute
-	// either: every later consumer of s.indexes/s.tags — the provider
-	// and alternate training, the usefulness update, and allocation
-	// (which only touches tables above the provider) — reads entries the
-	// scan visited, so the skipped hashes are provably dead.
-	s.provider, s.altTable = -1, -1
-	s.usedAlt = false
-	for i := t.nTab - 1; i >= 0; i-- {
-		s.indexes[i] = t.index(ts, d, i, pc)
-		s.tags[i] = t.tag(ts, i, pc)
-		w := t.tabs[i].arr.Get(d, s.indexes[i])
-		tag, ctr := t.unpack(i, w)
-		if tag != s.tags[i] {
-			continue
+	// Look up every tagged table — index hash, tag and entry — and
+	// gather the tag matches into a bit mask. The provider is the
+	// longest-history hit and the alternate the next longest: the top
+	// two set bits. A longest-first scan stopping at the alternate would
+	// skip some hashes, but it branches on every table's tag compare,
+	// which the host mispredicts at every provider; this loop has no
+	// data-dependent branch. Every per-table slice is cut to the same n,
+	// so the loop carries no bounds checks, and every shift count is
+	// masked to 63, which it never exceeds, so no shift needs the
+	// oversized-count fixup.
+	n := t.nTab
+	p := pc >> pcShift
+	tabs := t.tabs[:n]
+	idxF, t0F, t1F := ts.folds[:n], ts.folds[n:][:n], ts.folds[2*n:][:n]
+	indexes, tags, ctrs := s.indexes[:n], s.tags[:n], s.ctrs[:n]
+	var hits uint64
+	for i := range tabs {
+		tb := &tabs[i]
+		idx := tb.guard.ScrambleIndex((p^p>>(tb.pcFold&63)^idxF[i].Value())&tb.idxMask, d, tb.bits)
+		tag := (p ^ t0F[i].Value() ^ t1F[i].Value()<<1) & tb.tagMask
+		w := tb.arr.Get(d, idx)
+		indexes[i], tags[i], ctrs[i] = idx, tag, w>>(tb.tagBits&63)&bitutil.Mask(ctrBits)
+		var hit uint64
+		if w&tb.tagMask == tag {
+			hit = 1
 		}
-		if s.provider == -1 {
-			s.provider = i
-			s.provIdx = s.indexes[i]
-			s.provCtr = ctr
-			s.provPred = ctr >= 4
-		} else {
-			s.altTable = i
-			s.altIdx = s.indexes[i]
-			s.altPred = ctr >= 4
-			break
-		}
+		hits |= hit << (uint(i) & 63)
 	}
+	// uint(-1) shifts the provider bit out entirely when nothing hit.
+	s.provider = bits.Len64(hits) - 1
+	s.altTable = bits.Len64(hits&^(1<<uint(s.provider))) - 1
+	s.usedAlt = false
 	if s.provider == -1 {
 		s.finalPred = s.basePred
 	} else {
+		s.provIdx = indexes[s.provider]
+		s.provCtr = ctrs[s.provider]
+		s.provPred = s.provCtr >= 4
 		if s.altTable == -1 {
 			s.altPred = s.basePred
+		} else {
+			s.altIdx = indexes[s.altTable]
+			s.altPred = ctrs[s.altTable] >= 4
 		}
 		// A "newly allocated" provider (weak counter) defers to the
 		// alternate prediction when USEALT says alternates have been more
@@ -322,7 +333,7 @@ func (t *TAGE) Predict(d core.Domain, pc uint64) bool {
 //bpvet:hotpath
 func (t *TAGE) Update(d core.Domain, pc uint64, taken bool) {
 	ts := t.state(d.Thread)
-	s := t.scratch[d.Thread]
+	s := &ts.s
 
 	if t.loop != nil {
 		t.loop.Update(d, pc, taken, &s.loop)
@@ -375,10 +386,16 @@ func (t *TAGE) Update(d core.Domain, pc uint64, taken bool) {
 		t.allocate(d, s, taken)
 	}
 
-	// Periodic usefulness aging keeps allocation possible.
+	// Periodic usefulness aging keeps allocation possible: every
+	// UResetPeriod-th update, counted down rather than divided out of
+	// tick.
 	t.tick++
-	if t.cfg.UResetPeriod > 0 && t.tick%t.cfg.UResetPeriod == 0 {
-		t.ageUsefulness()
+	if t.ageIn != 0 {
+		t.ageIn--
+		if t.ageIn == 0 {
+			t.ageUsefulness()
+			t.ageIn = t.cfg.UResetPeriod
+		}
 	}
 
 	// Advance history: raw register first, then the folded images. The
@@ -387,11 +404,11 @@ func (t *TAGE) Update(d core.Domain, pc uint64, taken bool) {
 	// per-table triple update (see threadState).
 	ts.hist.Push(taken)
 	in := b2u64(taken)
-	outs := ts.outs
-	for i := 0; i < t.nTab; i++ {
-		outs[i] = ts.hist.Bit(t.cfg.HistLengths[i])
-	}
 	n := t.nTab
+	outs := ts.outs[:n]
+	for i := range t.tabs[:n] {
+		outs[i] = ts.hist.Bit(t.tabs[i].histLen)
+	}
 	bitutil.FoldLane(ts.folds[:n], in, outs)
 	bitutil.FoldLane(ts.folds[n:2*n], in, outs)
 	bitutil.FoldLane(ts.folds[2*n:], in, outs)
@@ -435,6 +452,16 @@ func (t *TAGE) allocate(d core.Domain, s *scratch, taken bool) {
 			*uc--
 		}
 	}
+}
+
+// ageCountdown returns the number of updates until the next aging pass
+// after tick updates: aging fires on the update that brings tick to a
+// multiple of UResetPeriod. 0 when aging is off.
+func (t *TAGE) ageCountdown() uint64 {
+	if t.cfg.UResetPeriod == 0 {
+		return 0
+	}
+	return t.cfg.UResetPeriod - t.tick%t.cfg.UResetPeriod
 }
 
 // ageUsefulness halves every u counter. The reference predictors
@@ -484,7 +511,8 @@ func (t *TAGE) FlushThread(th core.HWThread) {
 // USEALT counter, the aging tick, the allocation RNG, the loop predictor
 // when configured, and each lazily-created thread's history state. The
 // per-thread scratch is predict-to-update carry state, dead at cycle
-// boundaries, and is not serialized.
+// boundaries, and is not serialized; the aging countdown is derived from
+// the tick.
 func (t *TAGE) Snapshot(w *snap.Writer) {
 	t.base.Snapshot(w)
 	for i := range t.tabs {
@@ -521,6 +549,7 @@ func (t *TAGE) Restore(r *snap.Reader) {
 	}
 	t.useAltOnNA.Restore(r)
 	t.tick = r.U64()
+	t.ageIn = t.ageCountdown()
 	t.alloc.Restore(r)
 	if t.loop != nil {
 		t.loop.Restore(r)
@@ -528,7 +557,6 @@ func (t *TAGE) Restore(r *snap.Reader) {
 	for th := range t.threads {
 		if !r.Bool() {
 			t.threads[th] = nil
-			t.scratch[th] = nil
 			continue
 		}
 		ts := t.state(core.HWThread(th))
@@ -558,8 +586,8 @@ func (t *TAGE) StorageBits() uint64 {
 //
 //bpvet:hotpath
 func (t *TAGE) ProviderIsLoop(th core.HWThread) bool {
-	s := t.scratch[th]
-	return s != nil && t.loop != nil && s.loop.used
+	ts := t.threads[th]
+	return ts != nil && t.loop != nil && ts.s.loop.used
 }
 
 // LastConfidence grades the last prediction on thread th: 0 (weak),
@@ -569,10 +597,11 @@ func (t *TAGE) ProviderIsLoop(th core.HWThread) bool {
 //
 //bpvet:hotpath
 func (t *TAGE) LastConfidence(th core.HWThread) int {
-	s := t.scratch[th]
-	if s == nil {
+	ts := t.threads[th]
+	if ts == nil {
 		return 0
 	}
+	s := &ts.s
 	if t.loop != nil && s.loop.used {
 		return 2
 	}

@@ -79,6 +79,7 @@ type scThread struct {
 	hist   *bitutil.History // corrector's own global history
 	folds  []bitutil.Folded // per global component (by value: hot update loop)
 	runLen uint64           // IMLI-like: current taken-run length
+	s      scScratch
 }
 
 // scScratch carries predict-time corrector state to the update.
@@ -108,7 +109,6 @@ type TAGESCL struct {
 	tc        bitutil.SignedCounter
 
 	threads [core.MaxHWThreads]*scThread
-	scratch [core.MaxHWThreads]*scScratch
 }
 
 // New builds a TAGE-SC-L predictor registered for flush events.
@@ -138,23 +138,36 @@ func New(cfg Config, ctrl *core.Controller) *TAGESCL {
 // Name implements predictor.DirPredictor.
 func (p *TAGESCL) Name() string { return p.cfg.TAGE.Name }
 
-//bpvet:coldinit allocates once per hardware thread on first touch; every later call is a nil-checked array load
+// state returns the per-thread corrector state; after a thread's first
+// branch it is one array load and a nil check, inlined into the hot path.
+//
+//bpvet:hotpath
 func (p *TAGESCL) state(th core.HWThread) *scThread {
-	if p.threads[th] == nil {
-		maxLen := uint(0)
-		for _, l := range p.cfg.GlobalLens {
-			if l > maxLen {
-				maxLen = l
-			}
-		}
-		ts := &scThread{hist: bitutil.NewHistory(maxLen + 1)}
-		for _, l := range p.cfg.GlobalLens {
-			ts.folds = append(ts.folds, *bitutil.NewFolded(l, p.cfg.SCIndexBits))
-		}
-		p.threads[th] = ts
-		p.scratch[th] = &scScratch{idx: make([]uint64, p.nComp)}
+	if ts := p.threads[th]; ts != nil {
+		return ts
 	}
-	return p.threads[th]
+	return p.newState(th)
+}
+
+// newState creates a thread's corrector state on its first touch.
+//
+//bpvet:coldinit allocates once per hardware thread on first touch
+func (p *TAGESCL) newState(th core.HWThread) *scThread {
+	maxLen := uint(0)
+	for _, l := range p.cfg.GlobalLens {
+		if l > maxLen {
+			maxLen = l
+		}
+	}
+	ts := &scThread{
+		hist: bitutil.NewHistory(maxLen + 1),
+		s:    scScratch{idx: make([]uint64, p.nComp)},
+	}
+	for _, l := range p.cfg.GlobalLens {
+		ts.folds = append(ts.folds, *bitutil.NewFolded(l, p.cfg.SCIndexBits))
+	}
+	p.threads[th] = ts
+	return ts
 }
 
 // ctrValue converts a stored biased counter to its signed value.
@@ -192,7 +205,7 @@ func (p *TAGESCL) componentIndexes(ts *scThread, d core.Domain, pc uint64, idx [
 //bpvet:hotpath
 func (p *TAGESCL) Predict(d core.Domain, pc uint64) bool {
 	ts := p.state(d.Thread)
-	s := p.scratch[d.Thread]
+	s := &ts.s
 
 	s.tagePred = p.t.Predict(d, pc)
 	s.loopUsed = p.t.ProviderIsLoop(d.Thread)
@@ -239,7 +252,7 @@ func (p *TAGESCL) Predict(d core.Domain, pc uint64) bool {
 //bpvet:hotpath
 func (p *TAGESCL) Update(d core.Domain, pc uint64, taken bool) {
 	ts := p.state(d.Thread)
-	s := p.scratch[d.Thread]
+	s := &ts.s
 
 	if !s.loopUsed {
 		// Threshold adaptation: when SC and TAGE disagreed, track which
@@ -307,8 +320,9 @@ func (p *TAGESCL) Update(d core.Domain, pc uint64, taken bool) {
 
 	// Corrector histories.
 	ts.hist.Push(taken)
-	for i := range ts.folds {
-		ts.folds[i].Update(ts.hist)
+	in := b2u(taken)
+	for i, l := range p.cfg.GlobalLens {
+		ts.folds[i].UpdateBits(in, ts.hist.Bit(l))
 	}
 	// IMLI-like counter, capped so long runs map to a stable index (index
 	// reuse is what lets the component retrain after a key rotation).
@@ -364,7 +378,6 @@ func (p *TAGESCL) Restore(r *snap.Reader) {
 	for th := range p.threads {
 		if !r.Bool() {
 			p.threads[th] = nil
-			p.scratch[th] = nil
 			continue
 		}
 		ts := p.state(core.HWThread(th))
