@@ -176,6 +176,7 @@ func TestGoldenPredictorStream(t *testing.T) {
 		for _, o := range goldenOptions() {
 			key := name + "/" + o.name
 			t.Run(key, func(t *testing.T) {
+				t.Parallel() // independent replays over a read-only stream
 				preds, state := replayGolden(name, o.opts, pcs, takens)
 				want, ok := goldenDigests[key]
 				if !ok || want != [2]string{preds, state} {

@@ -376,11 +376,11 @@ func NewFolded(origLen, compLen uint) *Folded {
 // foldStep advances a folded image c by one push: the entering bit in
 // shifts in at the bottom, the leaving bit out (0 or 1) is cancelled at
 // its re-entry position outBit, and the bit carried out of the top folds
-// back into bit 0. c is at most mask, so the carry is exactly "c > mask"
-// after the shift; the carried image is computed unconditionally and
-// selected by that compare, which the compiler lowers to a conditional
-// move (a branch here would mispredict on half of all pushes), where the
-// textbook form (c ^= c >> W; c &= mask) needs a variable shift.
+// back into bit 0. Because c never exceeds mask, the carry is set exactly
+// when the shifted image does. The folded image is computed
+// unconditionally and picked by that compare, which the compiler lowers
+// to a conditional move: a branch would mispredict on half of all pushes,
+// and the textbook form (c ^= c >> W; c &= mask) needs a variable shift.
 //
 //bpvet:hotpath
 func foldStep(c, in, out, outBit, mask uint64) uint64 {
@@ -403,7 +403,9 @@ func (f *Folded) Update(h *History) {
 
 // UpdateBits incorporates a push given the entering bit (history bit 0
 // after the push) and the bit leaving the fold's window (history bit
-// origLen), each 0 or 1.
+// origLen), each 0 or 1. Predictors that maintain several folds over the
+// same history length — TAGE keeps three per table — read the two bits
+// once and share them across the folds (see FoldLane).
 //
 //bpvet:hotpath
 func (f *Folded) UpdateBits(in, out uint64) {

@@ -320,9 +320,8 @@ func (p *TAGESCL) Update(d core.Domain, pc uint64, taken bool) {
 
 	// Corrector histories.
 	ts.hist.Push(taken)
-	in := b2u(taken)
-	for i, l := range p.cfg.GlobalLens {
-		ts.folds[i].UpdateBits(in, ts.hist.Bit(l))
+	for i := range ts.folds {
+		ts.folds[i].Update(ts.hist)
 	}
 	// IMLI-like counter, capped so long runs map to a stable index (index
 	// reuse is what lets the component retrain after a key rotation).
