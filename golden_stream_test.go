@@ -117,11 +117,12 @@ func digest16(b []byte) string {
 }
 
 // goldenDigests holds the pinned (prediction bits, snapshot) hashes per
-// predictor/configuration. They were computed before the predictor
-// kernels were rewritten around ring histories, branch-free TAGE lookup
-// and keyed row access, and every later kernel change must reproduce
-// them. A deliberate change to simulated behaviour regenerates them from
-// the failure output and says why in CHANGES.md.
+// predictor/configuration. They were computed with the straightforward
+// kernels — shift-register history, shift-formula folds, a longest-first
+// TAGE scan, a word key per codec call — so they pin the values
+// independently of the optimized ones, and every kernel change must
+// reproduce them. A deliberate change to simulated behaviour regenerates
+// them from the failure output and says why in CHANGES.md.
 var goldenDigests = map[string][2]string{
 	"gshare/baseline":                 {"360485d8f7af50f0", "0b08408c5ebf0069"},
 	"gshare/complete-flush":           {"ae764db65b6e4110", "f8fdedb0ae32f2a9"},

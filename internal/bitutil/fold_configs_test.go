@@ -29,8 +29,8 @@ func foldGeometries() [][2]uint {
 	return out
 }
 
-// shiftFold is the textbook fold step foldStep replaced: three variable
-// shifts, the top-bit carry folded back by shifting it down.
+// shiftFold is the textbook fold step: three variable shifts, the
+// top-bit carry folded back by shifting it down.
 func shiftFold(c, in, out uint64, origLen, compLen uint) uint64 {
 	c = c<<1 | in
 	c ^= out << (origLen % compLen)

@@ -25,9 +25,9 @@ func gccStream(n int) (pcs []uint64, takens []bool) {
 	return pcs[:n], takens[:n]
 }
 
-// lazyScan is the lookup the branch-free one replaced: walk the tagged
-// tables from the longest history down, hashing each as the walk reaches
-// it, and stop at the second tag match.
+// lazyScan is the straightforward lookup: walk the tagged tables from the
+// longest history down, hashing each as the walk reaches it, and stop at
+// the second tag match.
 func lazyScan(t *TAGE, ts *threadState, d core.Domain, pc uint64) (provider, alt int) {
 	n := t.nTab
 	p := pc >> pcShift
