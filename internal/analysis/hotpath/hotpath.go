@@ -268,6 +268,11 @@ func (c *checker) checkCall(call *ast.CallExpr, where, origin string) {
 	// Builtins.
 	if id, ok := fun.(*ast.Ident); ok {
 		if b, ok := info.Uses[id].(*types.Builtin); ok {
+			if b.Name() == "clear" && len(call.Args) == 1 {
+				if _, isSlice := info.TypeOf(call.Args[0]).Underlying().(*types.Slice); isSlice {
+					return // zeroes the slice's elements in place
+				}
+			}
 			if !allowedBuiltins[b.Name()] {
 				switch b.Name() {
 				case "make", "new", "append":

@@ -52,6 +52,12 @@ func hotMapAccess(m map[int]int, k int) int {
 }
 
 //bpvet:hotpath
+func hotClear(m map[int]int, s []uint64) {
+	clear(s)
+	clear(m) // want `clear in hotpath hotClear: map mutation`
+}
+
+//bpvet:hotpath
 func hotMapRange(m map[int]int) int {
 	total := 0
 	for _, v := range m { // want `map range`

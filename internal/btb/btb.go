@@ -58,7 +58,10 @@ type BTB struct {
 	cfg       Config
 	guard     *core.Guard
 	indexBits uint
-	sets      [][]entry
+	// ways holds every way, set-major; sets[i] is set i's view into it,
+	// so a Complete Flush is one clear of one slice.
+	ways []entry
+	sets [][]entry
 
 	// stats
 	lookups uint64
@@ -77,10 +80,12 @@ func New(cfg Config, ctrl *core.Controller) *BTB {
 		cfg:       cfg,
 		guard:     ctrl.Guard(0xb7b, core.StructBTB),
 		indexBits: bitutil.Log2(uint64(cfg.Sets)),
+		ways:      make([]entry, cfg.Sets*cfg.Ways),
 		sets:      make([][]entry, cfg.Sets),
 	}
 	for i := range b.sets {
-		b.sets[i] = make([]entry, cfg.Ways)
+		lo := uint(i) * cfg.Ways
+		b.sets[i] = b.ways[lo : lo+cfg.Ways : lo+cfg.Ways]
 	}
 	ctrl.Register(b, core.StructBTB)
 	return b
@@ -177,13 +182,7 @@ func (b *BTB) touch(set []entry, i int) {
 // FlushAll invalidates every entry (Complete Flush).
 //
 //bpvet:hotpath
-func (b *BTB) FlushAll() {
-	for s := range b.sets {
-		for w := range b.sets[s] {
-			b.sets[s][w] = entry{}
-		}
-	}
-}
+func (b *BTB) FlushAll() { clear(b.ways) }
 
 // FlushThread invalidates entries owned by t (Precise Flush). Ownership is
 // tracked unconditionally in the BTB because, unlike the PHT, BTB entries
@@ -191,11 +190,9 @@ func (b *BTB) FlushAll() {
 //
 //bpvet:hotpath
 func (b *BTB) FlushThread(t core.HWThread) {
-	for s := range b.sets {
-		for w := range b.sets[s] {
-			if b.sets[s][w].valid && b.sets[s][w].owner == t {
-				b.sets[s][w] = entry{}
-			}
+	for i := range b.ways {
+		if b.ways[i].valid && b.ways[i].owner == t {
+			b.ways[i] = entry{}
 		}
 	}
 }
@@ -204,16 +201,14 @@ func (b *BTB) FlushThread(t core.HWThread) {
 // Tags and targets are serialized in their stored (encoded) form, so the
 // snapshot round-trips without touching keys.
 func (b *BTB) Snapshot(w *snap.Writer) {
-	for s := range b.sets {
-		for i := range b.sets[s] {
-			e := &b.sets[s][i]
-			w.Bool(e.valid)
-			w.U8(uint8(e.owner))
-			w.U8(uint8(e.class))
-			w.U8(e.lru)
-			w.U64(e.tag)
-			w.U64(e.target)
-		}
+	for i := range b.ways {
+		e := &b.ways[i]
+		w.Bool(e.valid)
+		w.U8(uint8(e.owner))
+		w.U8(uint8(e.class))
+		w.U8(e.lru)
+		w.U64(e.tag)
+		w.U64(e.target)
 	}
 	w.U64(b.lookups)
 	w.U64(b.hits)
@@ -222,16 +217,14 @@ func (b *BTB) Snapshot(w *snap.Writer) {
 // Restore replaces every way and the counters. The snapshot must come
 // from a BTB of identical geometry.
 func (b *BTB) Restore(r *snap.Reader) {
-	for s := range b.sets {
-		for i := range b.sets[s] {
-			e := &b.sets[s][i]
-			e.valid = r.Bool()
-			e.owner = core.HWThread(r.U8())
-			e.class = predictor.Class(r.U8())
-			e.lru = r.U8()
-			e.tag = r.U64()
-			e.target = r.U64()
-		}
+	for i := range b.ways {
+		e := &b.ways[i]
+		e.valid = r.Bool()
+		e.owner = core.HWThread(r.U8())
+		e.class = predictor.Class(r.U8())
+		e.lru = r.U8()
+		e.tag = r.U64()
+		e.target = r.U64()
 	}
 	b.lookups = r.U64()
 	b.hits = r.U64()
@@ -242,11 +235,9 @@ func (b *BTB) Restore(r *snap.Reader) {
 // retain 500–800 entries across switches).
 func (b *BTB) OccupancyOf(t core.HWThread) int {
 	n := 0
-	for s := range b.sets {
-		for w := range b.sets[s] {
-			if b.sets[s][w].valid && b.sets[s][w].owner == t {
-				n++
-			}
+	for i := range b.ways {
+		if b.ways[i].valid && b.ways[i].owner == t {
+			n++
 		}
 	}
 	return n

@@ -1,10 +1,16 @@
 package btb
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"testing"
 
 	"xorbp/internal/core"
 	"xorbp/internal/predictor"
+	"xorbp/internal/rng"
+	"xorbp/internal/snap"
 )
 
 func ctrl(m core.Mechanism) *core.Controller {
@@ -255,5 +261,59 @@ func TestRASFlush(t *testing.T) {
 	r.FlushThread(0)
 	if _, ok := r.Pop(d(1)); !ok {
 		t.Fatal("FlushThread(0) cleared thread 1")
+	}
+}
+
+// btbPinnedSnapshot is the SHA-256 of the snapshot bytes (and the
+// per-thread occupancies) that TestBTBSnapshotPinned's fixed
+// Update/Lookup/FlushThread/FlushAll sequence leaves behind. It pins the
+// set-major way order that FlushThread, Snapshot, Restore and OccupancyOf
+// walk, so a change to the BTB's storage layout cannot reorder or lose
+// ways unnoticed.
+const btbPinnedSnapshot = "ded95cb3dec6c181f4b1e933c9de20854b21eb9b21df7cabb6879a7ba0f912ab"
+
+func TestBTBSnapshotPinned(t *testing.T) {
+	h := sha256.New()
+	for _, m := range []core.Mechanism{core.Baseline, core.NoisyXOR, core.PreciseFlush} {
+		for _, cfg := range []Config{FPGAConfig(), Gem5Config()} {
+			b := New(cfg, ctrl(m))
+			g := rng.NewSplitMix64(uint64(m)<<8 | uint64(cfg.Sets))
+			step := func(n int) {
+				for i := 0; i < n; i++ {
+					r := g.Next()
+					dom := d(core.HWThread(r & 1))
+					pc := 0x400000 + (r>>8)&0xfffc
+					if r&6 == 0 {
+						b.Lookup(dom, pc)
+					} else {
+						b.Update(dom, pc, r>>20, predictor.Class(r>>2&3))
+					}
+				}
+			}
+			step(3000)
+			b.FlushThread(0)
+			step(1500)
+			b.FlushAll()
+			step(700)
+			b.FlushThread(1)
+			step(300)
+			var w snap.Writer
+			b.Snapshot(&w)
+			h.Write(w.Bytes())
+			fmt.Fprintf(h, "%d %d\n", b.OccupancyOf(0), b.OccupancyOf(1))
+
+			// Restore into a fresh BTB reproduces the same bytes.
+			fresh := New(cfg, ctrl(m))
+			r := snap.NewReader(w.Bytes())
+			fresh.Restore(r)
+			var w2 snap.Writer
+			fresh.Snapshot(&w2)
+			if r.Err() != nil || r.Remaining() != 0 || !bytes.Equal(w.Bytes(), w2.Bytes()) {
+				t.Fatalf("%v/%d sets: snapshot does not round-trip (err %v)", m, cfg.Sets, r.Err())
+			}
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != btbPinnedSnapshot {
+		t.Fatalf("BTB snapshot digest = %s, want %s", got, btbPinnedSnapshot)
 	}
 }

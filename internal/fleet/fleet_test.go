@@ -682,3 +682,53 @@ func TestLeaderCloseCutsHeldClaim(t *testing.T) {
 		t.Fatal("claim cut by Close still got a response")
 	}
 }
+
+// TestPullWorkersReuseConnections: a worker reads every leader reply to
+// its end, so net/http keeps the connection alive and a sweep costs each
+// worker a few connections, not one per completed spec.
+func TestPullWorkersReuseConnections(t *testing.T) {
+	q := NewQueue(0, time.Now)
+	var opened atomic.Int64
+	ts := httptest.NewUnstartedServer(NewLeader(q, "").Handler())
+	ts.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			opened.Add(1)
+		}
+	}
+	ts.Start()
+	t.Cleanup(ts.Close)
+	addr := strings.TrimPrefix(ts.URL, "http://")
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	const workers, specs = 2, 100
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		w := NewPullWorker(addr, fmt.Sprintf("w%d", i), echoBackend{}, nil, 1, 1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := w.Run(ctx); err != nil {
+				t.Errorf("worker: %v", err)
+			}
+		}()
+	}
+	var subs sync.WaitGroup
+	for i := 0; i < specs; i++ {
+		subs.Add(1)
+		go func() {
+			defer subs.Done()
+			if _, _, err := q.Submit(context.Background(), qspec(i)); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	subs.Wait()
+	n := opened.Load() // before cancel, which cuts the workers' held claims
+	cancel()
+	wg.Wait()
+	if n > 3*workers {
+		t.Fatalf("leader saw %d new connections for %d specs from %d workers, want at most %d",
+			n, specs, workers, 3*workers)
+	}
+}

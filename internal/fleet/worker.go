@@ -382,7 +382,12 @@ func (w *PullWorker) post(ctx context.Context, path string, body, out any) error
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
+	defer func() {
+		// Read the rest of the reply, bounded, so net/http can reuse
+		// the connection for the next request instead of dialing anew.
+		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
+		_ = resp.Body.Close()
+	}()
 	if resp.StatusCode == http.StatusUnauthorized {
 		return fatalError{fmt.Errorf("fleet: leader refused token: %s", readBody(resp.Body))}
 	}

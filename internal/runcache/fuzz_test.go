@@ -2,66 +2,84 @@ package runcache
 
 import (
 	"bytes"
-	"encoding/json"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
-// FuzzOpenEntry feeds arbitrary bytes to the store's entry loader: a
-// cache directory is shared, crash-prone state, so any on-disk file —
-// torn, truncated, tampered, or from a foreign tool — must either load
-// as a valid entry or be quarantined. Open must never panic and never
-// trust a file whose recorded schema or key disagrees with its
-// location.
+// FuzzOpenEntry feeds arbitrary bytes to Open as a segment left by an
+// exited writer (withHeader prepends the schema's header, so the
+// fuzzer reaches the record reader): a cache directory is shared,
+// crash-prone state, so Open must never panic, must load only values
+// that stand in the input as a whole, well-framed record with a valid
+// checksum, and after quarantining a damaged segment must reopen to the
+// same entries without counting the damage again.
 func FuzzOpenEntry(f *testing.F) {
 	const schema = "fuzz-schema-v1"
-	const key = "00deadbeef"
-	good, _ := json.Marshal(entry{Schema: schema, Key: key, Value: json.RawMessage(`{"x":1}`)})
-	f.Add(good)
-	f.Add([]byte(``))
-	f.Add([]byte(`{`))
-	f.Add([]byte(`{"schema":"fuzz-schema-v1","key":"wrong","value":{}}`))
-	f.Add([]byte(`{"schema":"other","key":"00deadbeef","value":{}}`))
-	f.Add([]byte(`{"schema":"fuzz-schema-v1","key":"00deadbeef","value":null}`))
-	f.Fuzz(func(t *testing.T, raw []byte) {
+	rec := func(key, value string) []byte {
+		r, err := appendRecord(nil, key, []byte(value))
+		if err != nil {
+			f.Fatal(err)
+		}
+		return r
+	}
+	good := append(rec("00deadbeef", `{"x":1}`), rec("01cafe", `"AAH+/0I="`)...)
+	f.Add(good, true)
+	f.Add(good[:len(good)-7], true)
+	flipped := bytes.Clone(good)
+	flipped[20] ^= 0x04
+	f.Add(flipped, true)
+	first := len(rec("00deadbeef", `{"x":1}`))
+	f.Add(append(bytes.Clone(good[:first/2]), good[first:]...), true)
+	f.Add([]byte(``), false)
+	f.Add(good, false)
+	f.Fuzz(func(t *testing.T, body []byte, withHeader bool) {
 		dir := t.TempDir()
 		sub := filepath.Join(dir, schemaID(schema))
 		if err := os.MkdirAll(sub, 0o755); err != nil {
 			t.Fatal(err)
 		}
-		path := filepath.Join(sub, key+".json")
-		if err := os.WriteFile(path, raw, 0o644); err != nil {
+		seg := body
+		if withHeader {
+			seg = append(segmentHeader(schema), body...)
+		}
+		if err := os.WriteFile(filepath.Join(sub, "fuzz"+segSuffix), seg, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		s, err := Open(dir, schema)
 		if err != nil {
-			t.Fatalf("Open must tolerate arbitrary entry bytes, got: %v", err)
+			t.Fatalf("Open must tolerate arbitrary segment bytes, got: %v", err)
 		}
-		st := s.Stats()
-		if st.Loaded+st.Quarantined != 1 {
-			t.Fatalf("entry neither loaded nor quarantined: %+v", st)
+
+		// The oracle: every loaded entry is a complete line of the
+		// segment's body, framed as a record whose checksum matches.
+		lines := map[string]bool{}
+		if bytes.HasPrefix(seg, segmentHeader(schema)) {
+			for _, l := range bytes.Split(seg[len(segmentHeader(schema)):], []byte("\n")) {
+				lines[string(l)] = true
+			}
 		}
-		if st.Loaded == 1 {
-			// A loaded entry must be exactly the recorded value, and the
-			// file must re-parse as the entry it claimed to be.
-			var e entry
-			if json.Unmarshal(raw, &e) != nil || e.Schema != schema || e.Key != key {
-				t.Fatal("loader accepted an entry the strict parse rejects")
+		loaded := map[string]string{}
+		for k, v := range s.entries {
+			line := fmt.Sprintf("%08x %s %s", crc32.ChecksumIEEE([]byte(k+" "+string(v))), k, v)
+			if !lines[line] {
+				t.Fatalf("loaded %q = %q, which no valid record of the input holds", k, v)
 			}
-			got, ok := s.Get(key)
-			if !ok || !bytes.Equal(got, e.Value) {
-				t.Fatalf("loaded value mismatch: got %q want %q", got, e.Value)
-			}
-		} else {
-			// Quarantine renames aside; the original name must be gone and
-			// a re-Open must see an empty store, not re-trip on the file.
-			if _, err := os.Stat(path); !os.IsNotExist(err) {
-				t.Fatal("quarantined entry still present under its live name")
-			}
-			s2, err := Open(dir, schema)
-			if err != nil || s2.Len() != 0 {
-				t.Fatalf("re-Open after quarantine: len=%d err=%v", s2.Len(), err)
+			loaded[k] = string(v)
+		}
+
+		s2, err := Open(dir, schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := s2.Stats(); st.Quarantined != 0 || st.Loaded != len(loaded) {
+			t.Fatalf("re-Open after quarantine: %+v, want %d loaded and no damage", st, len(loaded))
+		}
+		for k, v := range loaded {
+			if got, ok := s2.Get(k); !ok || string(got) != v {
+				t.Fatalf("re-Open lost %q: got %q, %v", k, got, ok)
 			}
 		}
 	})

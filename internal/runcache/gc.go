@@ -11,12 +11,13 @@ import (
 
 // GCOptions bounds a garbage-collection pass over a cache directory.
 type GCOptions struct {
-	// MaxAge removes entries not modified within the window (0 disables
-	// the age bound). Quarantined ".corrupt" files age out the same way.
+	// MaxAge removes segments not appended to within the window (0
+	// disables the age bound). Quarantined ".corrupt" segments age out
+	// the same way.
 	MaxAge time.Duration
-	// MaxBytes caps the total size of live entries after the pass;
-	// oldest entries are removed first until the cap holds (0 disables
-	// the size bound).
+	// MaxBytes caps the total size of the kept schema directories after
+	// the pass; the oldest segments are removed first until the cap
+	// holds (0 disables the size bound).
 	MaxBytes int64
 	// Now anchors age computation; the zero value means time.Now().
 	Now time.Time
@@ -27,19 +28,20 @@ type GCReport struct {
 	// SchemaDirsRemoved counts superseded per-schema subdirectories
 	// removed wholesale.
 	SchemaDirsRemoved int
-	// EntriesRemoved counts files removed from live schema directories
-	// (aged out, evicted for size, or quarantined leftovers).
+	// EntriesRemoved counts files — segments and quarantined segments —
+	// removed from kept schema directories (aged out or evicted for
+	// size).
 	EntriesRemoved int
 	// BytesFreed is the total size removed, across both categories.
 	BytesFreed int64
-	// EntriesKept / BytesKept describe what remains in live schema
-	// directories.
+	// EntriesKept / BytesKept describe the files that remain in kept
+	// schema directories, live writers' segments included.
 	EntriesKept int
 	BytesKept   int64
 }
 
 func (r GCReport) String() string {
-	return fmt.Sprintf("removed %d superseded schema dir(s) and %d entr(ies), freed %s; kept %d entr(ies), %s",
+	return fmt.Sprintf("removed %d superseded schema dir(s) and %d segment(s), freed %s; kept %d segment(s), %s",
 		r.SchemaDirsRemoved, r.EntriesRemoved, human(r.BytesFreed), r.EntriesKept, human(r.BytesKept))
 }
 
@@ -60,12 +62,13 @@ func human(n int64) string {
 //
 // Per-schema subdirectories whose schema is not in keepSchemas are
 // superseded — a binary writing that encoding no longer exists — and
-// are removed wholesale. Within the kept schemas, entries older than
+// are removed wholesale. Within the kept schemas, segments older than
 // MaxAge are removed, then the oldest survivors are evicted until the
-// directory fits MaxBytes. The pass is safe against concurrent readers
-// and writers: removal uses the same per-file granularity as the
-// store's own writes, so the worst case for a racing process is a
-// cache miss, never a torn entry.
+// directories fit MaxBytes. A segment is removed only while GC holds
+// its lock, so a live writer's segment is never collected (its size
+// still counts toward MaxBytes); a reader racing the pass loses at most
+// cache hits, never sees a torn record. Empty segments are a writer's
+// first instant and are left alone.
 //
 // A missing dir is not an error (there is nothing to collect).
 func GC(dir string, keepSchemas []string, o GCOptions) (GCReport, error) {
@@ -85,13 +88,14 @@ func GC(dir string, keepSchemas []string, o GCOptions) (GCReport, error) {
 		return rep, fmt.Errorf("runcache: %w", err)
 	}
 
-	// liveEntry is a survivor candidate for the age/size bounds.
-	type liveEntry struct {
+	// file is a kept schema directory's file, a candidate for the
+	// age/size bounds.
+	type file struct {
 		path string
 		size int64
 		mod  time.Time
 	}
-	var live []liveEntry
+	var files []file
 
 	for _, de := range des {
 		if !de.IsDir() || !strings.HasPrefix(de.Name(), "v-") {
@@ -112,11 +116,11 @@ func GC(dir string, keepSchemas []string, o GCOptions) (GCReport, error) {
 			rep.BytesFreed += freed
 			continue
 		}
-		files, err := os.ReadDir(sub)
+		names, err := os.ReadDir(sub)
 		if err != nil {
 			return rep, fmt.Errorf("runcache: %w", err)
 		}
-		for _, fe := range files {
+		for _, fe := range names {
 			if fe.IsDir() {
 				continue
 			}
@@ -124,54 +128,52 @@ func GC(dir string, keepSchemas []string, o GCOptions) (GCReport, error) {
 			if err != nil {
 				continue // vanished under a concurrent process
 			}
-			path := filepath.Join(sub, fe.Name())
-			// In-progress temp files from live writers are skipped unless
-			// plainly abandoned (older than the age bound).
-			isTmp := strings.HasPrefix(fe.Name(), ".tmp-")
-			aged := o.MaxAge > 0 && o.Now.Sub(info.ModTime()) > o.MaxAge
-			if isTmp && !aged {
-				continue
-			}
-			if aged {
-				if os.Remove(path) == nil {
-					rep.EntriesRemoved++
-					rep.BytesFreed += info.Size()
-				}
-				continue
-			}
-			live = append(live, liveEntry{path: path, size: info.Size(), mod: info.ModTime()})
+			files = append(files, file{filepath.Join(sub, fe.Name()), info.Size(), info.ModTime()})
 		}
 	}
 
+	// Oldest first: the age bound removes a prefix, and the size bound
+	// evicts in the same order.
+	sort.Slice(files, func(i, j int) bool { return files[i].mod.Before(files[j].mod) })
 	var total int64
-	for _, le := range live {
-		total += le.size
+	for _, f := range files {
+		total += f.size
 	}
-	if o.MaxBytes > 0 && total > o.MaxBytes {
-		// Evict oldest-first until the cap holds.
-		sort.Slice(live, func(i, j int) bool { return live[i].mod.Before(live[j].mod) })
-		for i := range live {
-			if total <= o.MaxBytes {
-				break
-			}
-			if os.Remove(live[i].path) == nil {
-				rep.EntriesRemoved++
-				rep.BytesFreed += live[i].size
-				total -= live[i].size
-				live[i].size = -1 // mark evicted
-			}
+	kept := 0
+	for _, f := range files {
+		aged := o.MaxAge > 0 && o.Now.Sub(f.mod) > o.MaxAge
+		over := o.MaxBytes > 0 && total > o.MaxBytes
+		if (aged || over) && removeDead(f.path) {
+			rep.EntriesRemoved++
+			rep.BytesFreed += f.size
+			total -= f.size
+			continue
 		}
-		kept := live[:0]
-		for _, le := range live {
-			if le.size >= 0 {
-				kept = append(kept, le)
-			}
-		}
-		live = kept
+		kept++
 	}
-	rep.EntriesKept = len(live)
+	rep.EntriesKept = kept
 	rep.BytesKept = total
 	return rep, nil
+}
+
+// removeDead removes a file unless it is a segment that is empty or
+// whose lock a live writer holds, reporting whether it removed it.
+func removeDead(path string) bool {
+	if !isSegment(filepath.Base(path)) {
+		return os.Remove(path) == nil
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return false
+	}
+	defer f.Close()
+	if !tryLock(f) {
+		return false
+	}
+	if info, err := f.Stat(); err != nil || info.Size() == 0 {
+		return false
+	}
+	return os.Remove(path) == nil
 }
 
 // dirSize sums the file sizes under a directory (one level of nesting

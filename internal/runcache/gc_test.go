@@ -7,21 +7,24 @@ import (
 	"time"
 )
 
-// fill opens a store under schema and writes n entries of roughly equal
-// size, returning the store.
-func fill(t *testing.T, dir, schema string, n int) *Store {
+// fill writes n entries of roughly equal size under schema, each through
+// its own store whose writer then exits, so dir gains n collectable
+// segments of one entry each.
+func fill(t *testing.T, dir, schema string, n int) []string {
 	t.Helper()
-	st, err := Open(dir, schema)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var segs []string
 	for i := 0; i < n; i++ {
-		key := st.Key([]byte{byte(i)})
-		if err := st.Put(key, []byte(`{"v":"0123456789abcdef"}`)); err != nil {
+		st, err := Open(dir, schema)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if err := st.Put(st.Key([]byte{byte(i)}), []byte(`{"v":"0123456789abcdef"}`)); err != nil {
+			t.Fatal(err)
+		}
+		st.exit()
+		segs = append(segs, st.seg.Name())
 	}
-	return st
+	return segs
 }
 
 // TestGCSweepsSupersededSchemas: directories of schemas not in the keep
@@ -40,7 +43,7 @@ func TestGCSweepsSupersededSchemas(t *testing.T) {
 		t.Fatalf("report = %+v, want 1 schema dir removed with bytes freed", rep)
 	}
 	if rep.EntriesKept != 5 {
-		t.Fatalf("kept %d entries, want 5", rep.EntriesKept)
+		t.Fatalf("kept %d segments, want 5", rep.EntriesKept)
 	}
 	for schema, want := range map[string]int{"live-schema-a": 3, "live-schema-b": 2} {
 		st, err := Open(dir, schema)
@@ -56,23 +59,19 @@ func TestGCSweepsSupersededSchemas(t *testing.T) {
 	}
 }
 
-// TestGCAgeBound: entries older than MaxAge are removed; younger ones
-// survive. Quarantined files age out too.
+// TestGCAgeBound: segments older than MaxAge are removed; younger ones
+// survive. Quarantined segments age out too.
 func TestGCAgeBound(t *testing.T) {
 	dir := t.TempDir()
-	st := fill(t, dir, "s", 4)
+	segs := fill(t, dir, "s", 4)
 	old := time.Now().Add(-48 * time.Hour)
-	files, err := os.ReadDir(st.Dir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Age two entries and plant an aged quarantine file.
-	for _, de := range files[:2] {
-		if err := os.Chtimes(filepath.Join(st.Dir(), de.Name()), old, old); err != nil {
+	// Age two segments and plant an aged quarantined one.
+	for _, seg := range segs[:2] {
+		if err := os.Chtimes(seg, old, old); err != nil {
 			t.Fatal(err)
 		}
 	}
-	corrupt := filepath.Join(st.Dir(), "junk.json.corrupt")
+	corrupt := filepath.Join(filepath.Dir(segs[0]), "junk"+segSuffix+".corrupt")
 	if err := os.WriteFile(corrupt, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -84,41 +83,34 @@ func TestGCAgeBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.EntriesRemoved != 3 { // 2 aged entries + 1 aged quarantine
-		t.Fatalf("removed %d entries, want 3 (report %+v)", rep.EntriesRemoved, rep)
+	if rep.EntriesRemoved != 3 { // 2 aged segments + 1 aged quarantine
+		t.Fatalf("removed %d files, want 3 (report %+v)", rep.EntriesRemoved, rep)
 	}
 	if st, _ := Open(dir, "s"); st.Len() != 2 {
 		t.Fatalf("%d entries survived, want 2", st.Len())
 	}
 }
 
-// TestGCSizeBound: with the directory over MaxBytes, the oldest entries
-// are evicted first until it fits.
+// TestGCSizeBound: with the directory over MaxBytes, the oldest
+// segments are evicted first until it fits.
 func TestGCSizeBound(t *testing.T) {
 	dir := t.TempDir()
-	st := fill(t, dir, "s", 4)
-	// Stamp distinct mtimes so eviction order is deterministic: entry i
-	// is older than entry i+1.
-	files, err := os.ReadDir(st.Dir())
+	segs := fill(t, dir, "s", 4)
+	// Stamp distinct mtimes so eviction order is deterministic: segment
+	// i is older than segment i+1.
+	for i, seg := range segs {
+		mt := time.Now().Add(-time.Duration(len(segs)-i) * time.Hour)
+		if err := os.Chtimes(seg, mt, mt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	info, err := os.Stat(segs[3])
 	if err != nil {
 		t.Fatal(err)
 	}
-	var newest string
-	for i, de := range files {
-		mt := time.Now().Add(-time.Duration(len(files)-i) * time.Hour)
-		if err := os.Chtimes(filepath.Join(st.Dir(), de.Name()), mt, mt); err != nil {
-			t.Fatal(err)
-		}
-		newest = de.Name()
-	}
-	var one int64
-	if info, err := os.Stat(filepath.Join(st.Dir(), newest)); err == nil {
-		one = info.Size()
-	} else {
-		t.Fatal(err)
-	}
+	one := info.Size()
 
-	// Budget for two entries: the two oldest must go.
+	// Budget for two segments: the two oldest must go.
 	rep, err := GC(dir, []string{"s"}, GCOptions{MaxBytes: 2 * one})
 	if err != nil {
 		t.Fatal(err)
@@ -129,8 +121,31 @@ func TestGCSizeBound(t *testing.T) {
 	if rep.BytesKept > 2*one {
 		t.Fatalf("kept %d bytes, over the %d budget", rep.BytesKept, 2*one)
 	}
-	if _, err := os.Stat(filepath.Join(st.Dir(), newest)); err != nil {
-		t.Fatalf("newest entry was evicted: %v", err)
+	for i, seg := range segs {
+		if _, err := os.Stat(seg); (err == nil) != (i >= 2) {
+			t.Fatalf("segment %d (oldest first): stat error %v", i, err)
+		}
+	}
+}
+
+// TestGCLeavesEmptySegments: an empty segment is a writer's first
+// instant, before it holds its lock and writes the header; GC must not
+// collect it from under the writer, whatever its age.
+func TestGCLeavesEmptySegments(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir, "s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty := filepath.Join(st.Dir(), "new"+segSuffix)
+	if err := os.WriteFile(empty, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := GC(dir, []string{"s"}, GCOptions{MaxAge: 1, MaxBytes: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(empty); err != nil {
+		t.Fatalf("GC collected an empty segment: %v", err)
 	}
 }
 

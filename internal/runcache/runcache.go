@@ -4,23 +4,31 @@
 // every later invocation replays the stored result instead of
 // re-simulating it.
 //
-// The store is deliberately simple and crash-safe:
+// The store is an append-only log, deliberately simple and crash-safe:
 //
-//   - One file per entry, named by the entry's key hash, written with
-//     write-temp + rename so concurrent processes sharing a directory
-//     never observe a torn entry (the last writer of a key wins, and
-//     every writer of a key writes identical deterministic content).
 //   - Entries live in a per-schema subdirectory. Opening a directory
 //     with a new schema version starts empty — stale entries are
 //     invalidated by construction and can never alias a current key.
-//   - All entries load at Open; Get and Put are memory-speed afterward
-//     (Put additionally writes through to disk).
-//   - Files that fail to parse, whose recorded schema or key does not
-//     match, or whose value fails its CRC-32 checksum, are quarantined
-//     (renamed with a ".corrupt" suffix) rather than trusted or deleted.
-//     The checksum catches silent corruption that still parses as JSON —
-//     a flipped bit inside a number would otherwise replay a wrong
-//     result forever.
+//   - Each Store appends to one segment file of its own, created by its
+//     first write. Every Put appends one checksummed record with one
+//     write call (the format is in segment.go). Processes sharing a
+//     directory therefore never interleave writes, and every writer of
+//     a key writes identical deterministic bytes, so a key stored in
+//     two segments holds the same value in both.
+//   - Open reads each segment in one sequential pass and loads every
+//     complete record whose CRC-32 matches; values stay opaque bytes.
+//     Get and Put are memory-speed afterward (Put additionally appends
+//     to disk). The checksum catches silent corruption — a flipped bit
+//     inside a number would otherwise replay a wrong result forever —
+//     and a torn record costs only itself.
+//   - A writer holds an advisory lock on its segment for the store's
+//     lifetime, which the kernel drops when the process exits. Damaged
+//     records are never loaded and count in Stats.Quarantined. When a
+//     damaged segment's writer has exited, Open renames the segment
+//     with a ".corrupt" suffix (deleting nothing) and re-appends its
+//     good records to its own segment, so the next Open neither counts
+//     the damage again nor loses the good records. A segment whose lock
+//     is held belongs to a live writer and is never renamed.
 package runcache
 
 import (
@@ -28,7 +36,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -39,7 +47,7 @@ import (
 // Stats counts store traffic since Open.
 type Stats struct {
 	Loaded      int // entries read at Open
-	Quarantined int // corrupt files renamed aside at Open
+	Quarantined int // damaged records found at Open (never loaded)
 	Hits        int // Get calls that found an entry
 	Misses      int // Get calls that did not
 	Puts        int // entries written
@@ -50,22 +58,29 @@ type Stats struct {
 // in-memory mirror loaded at Open. Safe for concurrent use within a
 // process; safe to share a directory across processes.
 type Store struct {
-	root   string // user-supplied cache directory
-	dir    string // per-schema subdirectory actually holding entries
+	dir    string // per-schema subdirectory actually holding segments
 	schema string
+	header []byte // the segment header line naming schema
 
-	// fault, when set, intercepts entry bytes on their way to disk —
+	// fault, when set, intercepts record bytes on their way to disk —
 	// the chaos layer's corruption/ENOSPC seam. Never touches the
 	// in-memory copy. Set once before concurrent use (SetFileFault).
 	fault FileFault
 
-	mu      sync.Mutex
+	// segOnce creates seg, this store's own segment, at the first write;
+	// segErr keeps a failed creation, after which every Put stays in
+	// memory only.
+	segOnce sync.Once
+	seg     *os.File
+	segErr  error
+
+	mu      sync.Mutex // guards entries, stats and appends to seg
 	entries map[string]json.RawMessage
 	stats   Stats
 }
 
-// FileFault intercepts an entry's serialized bytes just before the
-// write-temp+rename. It may return altered bytes (simulated
+// FileFault intercepts a record's framed bytes just before they are
+// appended to the segment. It may return altered bytes (simulated
 // corruption: the checksum must catch it at the next Open) or an error
 // (simulated full disk: counted as a PutError, entry kept in memory).
 // chaos.CacheFaults implements it; production stores never set one.
@@ -73,23 +88,12 @@ type FileFault interface {
 	WriteEntry(key string, raw []byte) ([]byte, error)
 }
 
-// entryFormat versions the on-disk entry file format. It is folded
-// into schemaID, so bumping it supersedes every directory written
-// under the old format — Open starts them empty and `-cache-gc` sweeps
-// them, exactly like a schema change. Format 2 added the CRC field.
-const entryFormat = 2
-
-// entry is the on-disk file format. Schema and Key are recorded
-// redundantly (the subdirectory and filename imply them) so a misplaced
-// or tampered file is detected and quarantined at load; CRC is the
-// IEEE CRC-32 of Value, verified at load so silent corruption that
-// still parses as JSON cannot replay as a wrong result.
-type entry struct {
-	Schema string          `json:"schema"`
-	Key    string          `json:"key"`
-	CRC    uint32          `json:"crc"`
-	Value  json.RawMessage `json:"value"`
-}
+// entryFormat versions the on-disk format. It is folded into schemaID,
+// so bumping it supersedes every directory written under the old
+// format — Open starts them empty and `-cache-gc` sweeps them, exactly
+// like a schema change. Format 2 added the CRC field; format 3 replaced
+// one JSON file per entry with segment logs.
+const entryFormat = 3
 
 // DefaultDir returns the conventional cache directory shared by the
 // CLIs — ~/.cache/xorbp via the platform cache dir — or "" when no home
@@ -115,10 +119,9 @@ func Key(schema string, payload []byte) string {
 
 // schemaID is the directory-name-safe digest of a schema string (the
 // full string can be hundreds of characters of type signature). The
-// entry file format version is folded in, so an entry-format change
-// invalidates old directories exactly like a schema change: Open never
-// sees old-format files, and GC treats their directories as
-// superseded.
+// on-disk format version is folded in, so a format change invalidates
+// old directories exactly like a schema change: Open never sees
+// old-format files, and GC treats their directories as superseded.
 func schemaID(schema string) string {
 	sum := sha256.Sum256([]byte("fmt" + strconv.Itoa(entryFormat) + "\x00" + schema))
 	return "v-" + hex.EncodeToString(sum[:8])
@@ -133,9 +136,9 @@ func Open(dir, schema string) (*Store, error) {
 		return nil, fmt.Errorf("runcache: %w", err)
 	}
 	s := &Store{
-		root:    dir,
 		dir:     sub,
 		schema:  schema,
+		header:  segmentHeader(schema),
 		entries: make(map[string]json.RawMessage),
 	}
 	names, err := os.ReadDir(sub)
@@ -143,37 +146,70 @@ func Open(dir, schema string) (*Store, error) {
 		return nil, fmt.Errorf("runcache: %w", err)
 	}
 	for _, de := range names {
-		name := de.Name()
-		// Skip in-progress writes from concurrent processes and anything
-		// already quarantined.
-		if de.IsDir() || !strings.HasSuffix(name, ".json") || strings.HasPrefix(name, ".") {
-			continue
+		if !de.IsDir() && isSegment(de.Name()) {
+			s.load(filepath.Join(sub, de.Name()))
 		}
-		path := filepath.Join(sub, name)
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			continue // racing writer or permissions; neither is corruption
-		}
-		var e entry
-		key := strings.TrimSuffix(name, ".json")
-		if json.Unmarshal(raw, &e) != nil || e.Schema != schema || e.Key != key || len(e.Value) == 0 ||
-			e.CRC != crc32.ChecksumIEEE(e.Value) {
-			s.quarantine(path)
-			continue
-		}
-		s.entries[key] = e.Value
-		s.stats.Loaded++
 	}
+	s.stats.Loaded = len(s.entries)
 	return s, nil
 }
 
-// quarantine renames a corrupt entry aside so it is neither trusted nor
-// re-examined on every Open. A failed rename (e.g. the file vanished
-// under a concurrent process) is ignored.
-func (s *Store) quarantine(path string) {
-	if os.Rename(path, path+".corrupt") == nil {
-		s.stats.Quarantined++
+// load reads one segment, loads its good records and counts its damage.
+// A damaged segment whose writer has exited is quarantined: renamed
+// aside, its good records re-appended to this store's own segment.
+func (s *Store) load(path string) {
+	f, err := os.Open(path)
+	if err != nil {
+		return // renamed or collected under a concurrent process
 	}
+	defer f.Close()
+	dead := tryLock(f) // held until Close
+	data, err := readSegment(f)
+	if err != nil {
+		return // unreadable is not evidence of corruption
+	}
+	damaged := scanSegment(data, s.header, func(_, key, value []byte) {
+		s.entries[string(key)] = value[:len(value):len(value)]
+	})
+	s.stats.Quarantined += damaged
+	if !dead || damaged == 0 || os.Rename(path, path+".corrupt") != nil {
+		return
+	}
+	var salvage []byte
+	scanSegment(data, s.header, func(rec, _, _ []byte) {
+		salvage = append(append(append(salvage, '\n'), rec...), '\n')
+	})
+	if len(salvage) == 0 {
+		return
+	}
+	if err = s.ensureSegment(); err == nil {
+		_, err = s.seg.Write(salvage)
+	}
+	if err != nil {
+		s.stats.PutErrors++ // the good records stay in memory only
+	}
+}
+
+// readSegment reads a segment up to the size it had when the read began: a
+// live writer may append meanwhile, and the records it adds are newer
+// than this Open.
+func readSegment(f *os.File) ([]byte, error) {
+	info, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	data := make([]byte, info.Size())
+	n, err := io.ReadFull(f, data)
+	if err == io.ErrUnexpectedEOF {
+		err = nil
+	}
+	return data[:n], err
+}
+
+// ensureSegment creates this store's segment on first use.
+func (s *Store) ensureSegment() error {
+	s.segOnce.Do(func() { s.seg, s.segErr = createSegment(s.dir, s.header) })
+	return s.segErr
 }
 
 // Contains reports whether key is present, without touching the
@@ -199,25 +235,31 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	return v, ok
 }
 
-// Put stores value under key, writing through to disk atomically
-// (write-temp + rename). The entry is kept in memory even if the disk
-// write fails — the caller already paid for the result — and the failure
-// is reported and counted.
+// Put stores value under key, appending one record to this store's
+// segment. The value must be JSON; it is written compacted. The entry
+// is kept in memory even if the disk write fails — the caller already
+// paid for the result — and the failure is reported and counted.
 func (s *Store) Put(key string, value []byte) error {
-	raw, err := json.Marshal(entry{Schema: s.schema, Key: key,
-		CRC: crc32.ChecksumIEEE(value), Value: value})
+	rec, err := appendRecord(make([]byte, 0, len(key)+len(value)+16), key, value)
 	if err != nil {
 		return fmt.Errorf("runcache: %w", err)
 	}
+	if s.fault != nil {
+		rec, err = s.fault.WriteEntry(key, rec)
+	}
+	if err == nil {
+		err = s.ensureSegment()
+	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.entries[key] = json.RawMessage(value)
 	s.stats.Puts++
-	s.mu.Unlock()
-	if err := s.writeFile(key, raw); err != nil {
-		s.mu.Lock()
+	if err == nil {
+		_, err = s.seg.Write(rec) //bpvet:locked(s.mu) one write per record under the store's lock keeps this process's appends whole and in order, and the counters agree with what reached the segment
+	}
+	if err != nil {
 		s.stats.PutErrors++
-		s.mu.Unlock()
-		return err
+		return fmt.Errorf("runcache: %w", err)
 	}
 	return nil
 }
@@ -226,37 +268,10 @@ func (s *Store) Put(key string, value []byte) error {
 // Set before the store sees concurrent traffic.
 func (s *Store) SetFileFault(f FileFault) { s.fault = f }
 
-func (s *Store) writeFile(key string, raw []byte) error {
-	if s.fault != nil {
-		var err error
-		if raw, err = s.fault.WriteEntry(key, raw); err != nil {
-			return fmt.Errorf("runcache: %w", err)
-		}
-	}
-	tmp, err := os.CreateTemp(s.dir, ".tmp-*")
-	if err != nil {
-		return fmt.Errorf("runcache: %w", err)
-	}
-	if _, err := tmp.Write(raw); err != nil {
-		_ = tmp.Close()
-		_ = os.Remove(tmp.Name())
-		return fmt.Errorf("runcache: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		_ = os.Remove(tmp.Name())
-		return fmt.Errorf("runcache: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(s.dir, key+".json")); err != nil {
-		_ = os.Remove(tmp.Name())
-		return fmt.Errorf("runcache: %w", err)
-	}
-	return nil
-}
-
 // PutBinary stores an opaque binary payload under key. The value is the
 // payload's JSON base64 encoding, so binary entries (e.g. simulator
-// snapshots) ride the same on-disk entry format — and the same
-// quarantine rules — as JSON results.
+// snapshots) ride the same record format — and the same quarantine
+// rules — as JSON results.
 func (s *Store) PutBinary(key string, data []byte) error {
 	v, err := json.Marshal(data)
 	if err != nil {
@@ -297,5 +312,11 @@ func (s *Store) Stats() Stats {
 	return s.stats
 }
 
-// Dir returns the per-schema directory holding this store's entries.
+// Dir returns the per-schema directory holding this store's segments.
 func (s *Store) Dir() string { return s.dir }
+
+// isSegment reports whether a directory entry name is a live segment
+// (not a quarantined one, not a foreign or hidden file).
+func isSegment(name string) bool {
+	return strings.HasSuffix(name, segSuffix) && !strings.HasPrefix(name, ".")
+}

@@ -1,6 +1,7 @@
 package runcache
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -8,6 +9,57 @@ import (
 	"sync"
 	"testing"
 )
+
+// exit releases s's segment lock, as its process exiting would.
+func (s *Store) exit() {
+	if s.seg != nil {
+		_ = s.seg.Close()
+	}
+}
+
+// segments lists the live segments (suffix "") or quarantined ones
+// (suffix ".corrupt") of a store's directory.
+func segments(t *testing.T, s *Store, suffix string) []string {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(s.Dir(), "*"+segSuffix+suffix))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return paths
+}
+
+// mustOpen opens dir under schema and checks the loaded and quarantined
+// counts.
+func mustOpen(t *testing.T, dir, schema string, loaded, quarantined int) *Store {
+	t.Helper()
+	s, err := Open(dir, schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Loaded != loaded || st.Quarantined != quarantined {
+		t.Fatalf("Open stats = %+v, want %d loaded and %d quarantined", st, loaded, quarantined)
+	}
+	return s
+}
+
+// rewrite replaces old with new in the one segment of s's directory.
+func rewrite(t *testing.T, s *Store, old, new string) {
+	t.Helper()
+	segs := segments(t, s, "")
+	if len(segs) != 1 {
+		t.Fatalf("found %d segments, want 1", len(segs))
+	}
+	raw, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(raw, []byte(old)) {
+		t.Fatalf("segment %q does not contain %q", raw, old)
+	}
+	if err := os.WriteFile(segs[0], bytes.Replace(raw, []byte(old), []byte(new), 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
 
 func TestRoundTrip(t *testing.T) {
 	dir := t.TempDir()
@@ -36,6 +88,35 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if st := s2.Stats(); st.Loaded != 1 || st.Hits != 1 {
 		t.Fatalf("reopened stats = %+v, want 1 loaded, 1 hit", st)
+	}
+}
+
+// TestPutCompactsAndRejects: a value reaches disk compacted (so it can
+// never hold a raw newline), and a value that is not JSON or a key that
+// cannot be framed is refused before anything is stored.
+func TestPutCompactsAndRejects(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, "schema-a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := s.Key([]byte("k"))
+	if err := s.Put(key, []byte("{\n  \"a\": [1, 2],\n  \"b\": \"x y\"\n}")); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []struct{ key, value string }{
+		{key, "not json"}, {key, ""}, {"", "1"}, {"a b", "1"}, {"a\nb", "1"},
+	} {
+		if err := s.Put(bad.key, []byte(bad.value)); err == nil {
+			t.Errorf("Put(%q, %q) succeeded", bad.key, bad.value)
+		}
+	}
+	if st := s.Stats(); st.Puts != 1 || s.Len() != 1 {
+		t.Fatalf("stats %+v, len %d: a refused Put was stored", st, s.Len())
+	}
+	s2 := mustOpen(t, dir, "schema-a", 1, 0)
+	if v, _ := s2.Get(key); string(v) != `{"a":[1,2],"b":"x y"}` {
+		t.Fatalf("reopened value = %q, want it compacted", v)
 	}
 }
 
@@ -75,6 +156,11 @@ func TestSchemaMismatchInvalidates(t *testing.T) {
 	}
 }
 
+// TestCorruptEntryQuarantined: segments left by exited writers in
+// three corrupt shapes — bytes that are no segment at all, a
+// well-formed segment whose header names another schema (a segment
+// copied in from elsewhere), and a record whose key was altered under
+// its checksum — load nothing, are renamed aside, and stay quarantined.
 func TestCorruptEntryQuarantined(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, "schema-a")
@@ -85,41 +171,32 @@ func TestCorruptEntryQuarantined(t *testing.T) {
 	if err := s.Put(good, []byte(`1`)); err != nil {
 		t.Fatal(err)
 	}
-	// Three corruption shapes: unparseable bytes, a parseable entry
-	// recorded under the wrong schema, and a file whose name disagrees
-	// with its recorded key.
-	writeRaw := func(name, content string) {
+	s.exit()
+	writeSeg := func(name string, content []byte) {
 		t.Helper()
-		if err := os.WriteFile(filepath.Join(s.Dir(), name), []byte(content), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(s.Dir(), name+segSuffix), content, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	writeRaw("feedfeed.json", "not json at all")
-	writeRaw("deadbeef.json", `{"schema":"schema-z","key":"deadbeef","value":1}`)
-	writeRaw("cafecafe.json", `{"schema":"schema-a","key":"somethingelse","value":1}`)
+	rec := func(key, value string) []byte {
+		r, err := appendRecord(nil, key, []byte(value))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	writeSeg("garbage", []byte("not a segment at all\n"))
+	writeSeg("foreign", append(segmentHeader("schema-z"), rec("deadbeef", "1")...))
+	altered := bytes.Replace(rec("cafecafe", "1"), []byte("cafecafe"), []byte("cafecafd"), 1)
+	writeSeg("altered", append(segmentHeader("schema-a"), altered...))
 
-	s2, err := Open(dir, "schema-a")
-	if err != nil {
-		t.Fatal(err)
+	s2 := mustOpen(t, dir, "schema-a", 1, 3)
+	if n := len(segments(t, s2, ".corrupt")); n != 3 {
+		t.Fatalf("found %d .corrupt segments, want 3", n)
 	}
-	if s2.Len() != 1 {
-		t.Fatalf("store loaded %d entries, want only the good one", s2.Len())
-	}
-	if st := s2.Stats(); st.Quarantined != 3 {
-		t.Fatalf("quarantined %d files, want 3 (%+v)", st.Quarantined, st)
-	}
-	quarantined, _ := filepath.Glob(filepath.Join(s2.Dir(), "*.corrupt"))
-	if len(quarantined) != 3 {
-		t.Fatalf("found %d .corrupt files, want 3", len(quarantined))
-	}
-	// Quarantine is sticky: the next Open does not re-examine them.
-	s3, err := Open(dir, "schema-a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := s3.Stats(); st.Quarantined != 0 || st.Loaded != 1 {
-		t.Fatalf("second reopen stats = %+v, want no new quarantines", st)
-	}
+	// Quarantine is sticky: the next Open neither re-examines them nor
+	// loses the good entry.
+	mustOpen(t, dir, "schema-a", 1, 0)
 	// The store stays usable after quarantining.
 	if err := s2.Put(s2.Key([]byte("more")), []byte(`2`)); err != nil {
 		t.Fatal(err)
@@ -166,12 +243,14 @@ func TestConcurrentStores(t *testing.T) {
 		t.Fatalf("after concurrent writers: %d entries (%+v), want 50 clean",
 			c.Len(), c.Stats())
 	}
+	if n := len(segments(t, c, "")); n != 2 {
+		t.Fatalf("two writers left %d segments, want one each", n)
+	}
 }
 
-// TestCRCMismatchQuarantined: an entry whose value was altered on disk
-// but still parses as valid JSON under the right schema and key — the
-// silent-corruption case only the checksum can catch — is quarantined
-// at the next Open instead of replaying as a wrong result.
+// TestCRCMismatchQuarantined: a record whose value was altered on disk
+// but is still valid JSON under the right key — the silent-corruption
+// case only the checksum can catch — is not replayed at the next Open.
 func TestCRCMismatchQuarantined(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, "schema-a")
@@ -182,36 +261,17 @@ func TestCRCMismatchQuarantined(t *testing.T) {
 	if err := s.Put(key, []byte(`{"cycles":42}`)); err != nil {
 		t.Fatal(err)
 	}
-	// Rewrite the file with a different value under the stale CRC:
-	// schema, key, and JSON shape all stay valid.
-	path := filepath.Join(s.Dir(), key+".json")
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tampered := strings.Replace(string(raw), `{"cycles":42}`, `{"cycles":43}`, 1)
-	if tampered == string(raw) {
-		t.Fatalf("tampering found nothing to replace in %q", raw)
-	}
-	if err := os.WriteFile(path, []byte(tampered), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	rewrite(t, s, `{"cycles":42}`, `{"cycles":43}`)
 
-	s2, err := Open(dir, "schema-a")
-	if err != nil {
-		t.Fatal(err)
-	}
+	s2 := mustOpen(t, dir, "schema-a", 0, 1)
 	if _, ok := s2.Get(key); ok {
 		t.Fatal("a CRC-mismatched entry replayed")
 	}
-	if st := s2.Stats(); st.Quarantined != 1 {
-		t.Fatalf("stats = %+v, want 1 quarantined", st)
-	}
 }
 
-// TestBinaryEntriesChecksummed: PutBinary blobs ride the same entry
+// TestBinaryEntriesChecksummed: PutBinary blobs ride the same record
 // format, so they round-trip across Opens and corrupting one on disk
-// quarantines it like any result entry.
+// keeps it from replaying like any result entry.
 func TestBinaryEntriesChecksummed(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, "schema-a")
@@ -223,10 +283,7 @@ func TestBinaryEntriesChecksummed(t *testing.T) {
 	if err := s.PutBinary(key, blob); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Open(dir, "schema-a")
-	if err != nil {
-		t.Fatal(err)
-	}
+	s2 := mustOpen(t, dir, "schema-a", 1, 0)
 	got, ok := s2.GetBinary(key)
 	if !ok || string(got) != string(blob) {
 		t.Fatalf("GetBinary = %v, %v", got, ok)
@@ -234,35 +291,20 @@ func TestBinaryEntriesChecksummed(t *testing.T) {
 
 	// Swap the base64 payload for a different valid one under the stale
 	// CRC; the checksum, not the decoder, must reject it.
-	path := filepath.Join(s.Dir(), key+".json")
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	old := `"AAH+/0I="`
-	if !strings.Contains(string(raw), old) {
-		t.Fatalf("entry %q does not contain the expected base64 value", raw)
-	}
-	tampered := strings.Replace(string(raw), old, `"AAH+/0M="`, 1)
-	if err := os.WriteFile(path, []byte(tampered), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s3, err := Open(dir, "schema-a")
-	if err != nil {
-		t.Fatal(err)
-	}
+	rewrite(t, s, `"AAH+/0I="`, `"AAH+/0M="`)
+	s3 := mustOpen(t, dir, "schema-a", 0, 1)
 	if _, ok := s3.GetBinary(key); ok {
 		t.Fatal("a tampered binary entry replayed")
 	}
-	if st := s3.Stats(); st.Quarantined != 1 {
-		t.Fatalf("stats = %+v, want 1 quarantined", st)
-	}
 }
 
-// faultStub is a test FileFault: it errors when failing is set, and
-// otherwise flips the last byte of every entry on its way to disk.
+// faultStub is a test FileFault: it errors when failing is set,
+// otherwise applies damage (default: flip the last byte) to the writes
+// whose 1-based number is in only (every write when only is empty).
 type faultStub struct {
 	failing bool
+	only    map[int]bool
+	damage  func([]byte) []byte
 	writes  int
 }
 
@@ -271,12 +313,18 @@ func (f *faultStub) WriteEntry(key string, raw []byte) ([]byte, error) {
 	if f.failing {
 		return nil, fmt.Errorf("stub: no space left on device")
 	}
+	if len(f.only) > 0 && !f.only[f.writes] {
+		return raw, nil
+	}
 	out := append([]byte(nil), raw...)
+	if f.damage != nil {
+		return f.damage(out), nil
+	}
 	out[len(out)-1] ^= 0xFF
 	return out, nil
 }
 
-// TestFileFaultWriteError: a failed entry write is counted, reported,
+// TestFileFaultWriteError: a failed record write is counted, reported,
 // and does not evict the in-memory copy — but the entry is gone after a
 // reopen (it never reached disk).
 func TestFileFaultWriteError(t *testing.T) {
@@ -296,18 +344,13 @@ func TestFileFaultWriteError(t *testing.T) {
 	if st := s.Stats(); st.PutErrors != 1 {
 		t.Fatalf("stats = %+v, want 1 put error", st)
 	}
-	s2, err := Open(dir, "schema-a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.Len() != 0 {
-		t.Fatalf("reopened store holds %d entries, want 0", s2.Len())
-	}
+	mustOpen(t, dir, "schema-a", 0, 0)
 }
 
 // TestFileFaultCorruptionCaught: bytes perturbed by the fault hook land
-// on disk (the write itself succeeds) and the next Open quarantines
-// them — the end-to-end contract chaosbench's cache scenario rides.
+// on disk (the write itself succeeds) and the next Open counts the
+// record as damaged — the end-to-end contract chaosbench's cache
+// scenario rides, with its writer still live in the same process.
 func TestFileFaultCorruptionCaught(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, "schema-a")
@@ -326,13 +369,159 @@ func TestFileFaultCorruptionCaught(t *testing.T) {
 	if v, ok := s.Get(key); !ok || string(v) != `{"cycles":7}` {
 		t.Fatalf("in-memory copy = %q, %v", v, ok)
 	}
-	s2, err := Open(dir, "schema-a")
+	mustOpen(t, dir, "schema-a", 0, 1)
+}
+
+// putN writes n entries {"v":i} through a store with fault (nil for
+// none) and returns the store and the keys in write order.
+func putN(t *testing.T, dir string, n int, fault FileFault) (*Store, []string) {
+	t.Helper()
+	s, err := Open(dir, "schema-a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.Len() != 0 || s2.Stats().Quarantined != 1 {
-		t.Fatalf("reopened store: %d entries, stats %+v; want the corrupt entry quarantined",
-			s2.Len(), s2.Stats())
+	if fault != nil {
+		s.SetFileFault(fault)
+	}
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = s.Key([]byte{byte(i)})
+		if err := s.Put(keys[i], []byte(fmt.Sprintf(`{"v":%d}`, i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s, keys
+}
+
+// TestTornTailLoadsCompleteRecords: a segment cut at any byte of its
+// last record — a writer killed mid-append — still loads every complete
+// record, and loses the last one only if its bytes are incomplete.
+func TestTornTailLoadsCompleteRecords(t *testing.T) {
+	src, keys := putN(t, t.TempDir(), 4, nil)
+	segs := segments(t, src, "")
+	full, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := bytes.LastIndex(full[:len(full)-1], []byte("\n\n")) + 1 // the last record's leading newline
+	for cut := last; cut <= len(full); cut++ {
+		dir := t.TempDir()
+		s, err := Open(dir, "schema-a") // creates the schema directory
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(s.Dir(), "torn"+segSuffix), full[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		lastWhole := cut >= len(full)-1 // only the trailing newline missing
+		torn := cut > last+1 && !lastWhole
+		want, damaged := 3, 0
+		if lastWhole {
+			want = 4
+		}
+		if torn {
+			damaged = 1
+		}
+		r := mustOpen(t, dir, "schema-a", want, damaged)
+		for i, k := range keys[:want] {
+			if v, ok := r.Get(k); !ok || string(v) != fmt.Sprintf(`{"v":%d}`, i) {
+				t.Fatalf("cut at %d: entry %d = %q, %v", cut, i, v, ok)
+			}
+		}
+		mustOpen(t, dir, "schema-a", want, 0)
+	}
+}
+
+// TestDamagedMiddleRecordLosesOnlyItself: whatever the damage to one
+// record in the middle of a segment — a flipped value bit, a chaos-style
+// truncation directly followed by the next record, a bit flip that
+// becomes a newline, a flipped leading or trailing newline — only that
+// record is lost, and it counts once.
+func TestDamagedMiddleRecordLosesOnlyItself(t *testing.T) {
+	flipAt := func(pos func([]byte) int, mask byte) func([]byte) []byte {
+		return func(b []byte) []byte { b[pos(b)] ^= mask; return b }
+	}
+	damages := map[string]func([]byte) []byte{
+		"value bit":       flipAt(func(b []byte) int { return len(b) - 3 }, 0x01),
+		"truncated":       func(b []byte) []byte { return b[:len(b)/2] },
+		"bit to newline":  flipAt(func(b []byte) int { return bytes.IndexByte(b, 'J') }, 0x4A^'\n'),
+		"leading newline": flipAt(func([]byte) int { return 0 }, 0x20),
+		"final newline":   flipAt(func(b []byte) int { return len(b) - 1 }, 0x01),
+		"crc case":        flipAt(func(b []byte) int { return bytes.IndexAny(b[:9], "abcdef") }, 0x20),
+	}
+	for name, damage := range damages {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Open(dir, "schema-a")
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.SetFileFault(&faultStub{only: map[int]bool{3: true}, damage: damage})
+			var keys []string
+			for i := 0; i < 5; i++ {
+				// Keys chosen so record 3's value holds a 'J' and its CRC a
+				// hex letter, for the damages that need one.
+				key := fmt.Sprintf("key%d", i)
+				if err := s.Put(key, []byte(`{"v":"J`+fmt.Sprint(i)+`"}`)); err != nil {
+					t.Fatal(err)
+				}
+				keys = append(keys, key)
+			}
+			r := mustOpen(t, dir, "schema-a", 4, 1)
+			for i, k := range keys {
+				if _, ok := r.Get(k); ok == (i == 2) {
+					t.Fatalf("record %d: loaded=%v", i, ok)
+				}
+			}
+		})
+	}
+}
+
+// TestQuarantineStickyAfterWriterExits: once a damaged segment's writer
+// has exited, Open renames the segment aside and re-appends its good
+// records to its own segment, so a second reopen counts no damage and
+// still loads them all.
+func TestQuarantineStickyAfterWriterExits(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := putN(t, dir, 3, &faultStub{only: map[int]bool{2: true}})
+	s.exit()
+
+	s2 := mustOpen(t, dir, "schema-a", 2, 1)
+	if n := len(segments(t, s2, ".corrupt")); n != 1 {
+		t.Fatalf("found %d .corrupt segments, want 1", n)
+	}
+	mustOpen(t, dir, "schema-a", 2, 0)
+	s2.exit()
+	mustOpen(t, dir, "schema-a", 2, 0)
+}
+
+// TestLiveSegmentNeverRenamedOrCollected: while its writer lives, a
+// damaged segment is counted at every Open but never renamed, and GC
+// never removes it, however old; once the writer exits, both may act.
+func TestLiveSegmentNeverRenamedOrCollected(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := putN(t, dir, 3, &faultStub{only: map[int]bool{2: true}})
+	seg := segments(t, s, "")[0]
+
+	mustOpen(t, dir, "schema-a", 2, 1)
+	mustOpen(t, dir, "schema-a", 2, 1)
+	if len(segments(t, s, ".corrupt")) != 0 {
+		t.Fatal("a live writer's segment was quarantined")
+	}
+	rep, err := GC(dir, []string{"schema-a"}, GCOptions{MaxAge: 1, MaxBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(seg); err != nil || rep.EntriesRemoved != 0 {
+		t.Fatalf("GC removed a live writer's segment (%+v): %v", rep, err)
+	}
+
+	s.exit()
+	if rep, err = GC(dir, []string{"schema-a"}, GCOptions{MaxAge: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(seg); !os.IsNotExist(err) || rep.EntriesRemoved != 1 {
+		t.Fatalf("GC kept an exited writer's aged segment (%+v): %v", rep, err)
 	}
 }
 
