@@ -7,10 +7,9 @@
 //
 //	attacksim [-poc] [-table1] [-sweep] [-quick] [-seed N]
 //	          [-workers N] [-progress] [-json]
-//	          [-cache DIR] [-serve-addrs HOST:PORT,...] [-shard I/N]
-//	          [-token T] [-route POLICY] [-tls-ca FILE]
+//	          [-cache DIR] [-shard I/N] [-token T]
 //	          [-fleet HOST:PORT] [-fleet-lease D] [-tls-cert FILE] [-tls-key FILE]
-//	          [-journal FILE] [-resume] [-chaos PLAN] [-degrade=false]
+//	          [-journal FILE] [-resume] [-chaos PLAN]
 //	          [-cpuprofile FILE] [-memprofile FILE]
 //
 // Without a selector flag the PoC accuracy and Table 1 experiments run
@@ -22,22 +21,20 @@
 // Every attack cell is an engine job, so the flags shared with bpsim
 // mean the same things: -cache persists resolved cells across
 // invocations (a warm re-run simulates nothing), -workers bounds the
-// in-process pool, -serve-addrs dispatches cells to bpserve daemons
-// (-token authenticating against bpserve -token; -route picking the
-// push routing policy, -tls-ca pinning the fleet CA), -fleet runs this
-// process as a pull-queue leader that bpserve -pull workers claim
-// batches from (-tls-cert/-tls-key serving that endpoint over TLS),
-// -shard I/N statically partitions the grid across cooperating
-// processes (tables suppressed; an unsharded run afterwards renders
-// from the shared cache), -progress reports done/planned with a
-// session-wide ETA over the pre-planned grid, and -json streams
-// per-cell records, JSON tables and a final summary record. -journal
-// FILE records every resolved cell in a crash-safe WAL so a killed
-// sweep restarts with -resume and simulates only the remainder; -chaos
-// PLAN arms deterministic fault injection (see internal/chaos and the
-// bpsim doc — the robustness machinery is shared). Tables are
-// byte-identical for every worker count, backend, routing policy and
-// shard split.
+// in-process pool, -fleet runs this process as a pull-queue leader
+// that bpserve -pull workers claim batches from (-token authenticating
+// them against bpserve -token, -tls-cert/-tls-key serving that
+// endpoint over TLS), -shard I/N statically partitions the grid across
+// cooperating processes (tables suppressed; an unsharded run
+// afterwards renders from the shared cache), -progress reports
+// done/planned with a session-wide ETA over the pre-planned grid, and
+// -json streams per-cell records, JSON tables and a final summary
+// record. -journal FILE records every resolved cell in a crash-safe
+// WAL so a killed sweep restarts with -resume and simulates only the
+// remainder; -chaos PLAN arms deterministic fault injection (see
+// internal/chaos and the bpsim doc — the robustness machinery is
+// shared). Tables are byte-identical for every worker count, backend
+// and shard split.
 package main
 
 import (
@@ -68,13 +65,12 @@ func main() {
 	sweep := flag.Bool("sweep", false, "run the security-sweep grid (matrices, re-key curve, predictor cross, verdicts)")
 	quick := flag.Bool("quick", false, "reduced iteration counts and grid dimensions")
 	seed := flag.Uint64("seed", 1, "simulation seed")
-	workers := flag.Int("workers", runner.DefaultWorkers(), "attack-cell worker pool size (<=0: one per CPU; with -serve-addrs, defaults to fleet capacity)")
+	workers := flag.Int("workers", runner.DefaultWorkers(), "attack-cell worker pool size (<=0: one per CPU; with -fleet, the outstanding submissions, default 128)")
 	progress := flag.Bool("progress", false, "emit a line per resolved cell to stderr, with session-wide ETA")
 	asJSON := flag.Bool("json", false, "emit per-cell records, machine-readable JSON tables and a final summary record instead of text")
 	cacheDir := flag.String("cache", runcache.DefaultDir(), "persistent run-cache directory (\"\" disables)")
-	serveAddrs := flag.String("serve-addrs", "", "comma-separated bpserve worker addresses (host:port); attack cells run remotely")
 	shard := flag.String("shard", "", "static grid shard I/N (0-based): simulate only owned cells, skip the rest, suppress tables")
-	token := flag.String("token", "", "bearer token for -serve-addrs workers (bpserve -token)")
+	token := flag.String("token", "", "with -fleet: bearer token pull workers must present (bpserve -token)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the invocation to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile (post-GC) to this file on exit")
 	journalPath := flag.String("journal", "", "append-only sweep journal (WAL): crash-safe record of planned and completed cells")
@@ -97,7 +93,7 @@ func main() {
 
 	// A fleet sweep has a sink too: pull workers cache on their side.
 	shardI, shardN := driver.ParseShard("attacksim", *shard,
-		*cacheDir != "" || *serveAddrs != "" || *fleetFlags.Fleet != "")
+		*cacheDir != "" || *fleetFlags.Fleet != "")
 
 	// Experiment set: the two PoC tables by default, the grid on -sweep.
 	type exp struct {
@@ -126,15 +122,13 @@ func main() {
 		}})
 	}
 
-	// Pick the topology: the in-process pool, a push-routed bpserve
-	// fleet, or a pull-queue leader.
+	// Pick the topology: the in-process pool or a pull-queue leader.
 	workersSet := false
 	flag.Visit(func(f *flag.Flag) { workersSet = workersSet || f.Name == "workers" })
 	ch := driver.LoadChaos("attacksim", *chaosPlan)
 	conn := driver.Connect(driver.ConnectOptions{
-		Prog: "attacksim", ServeAddrs: *serveAddrs, Token: *token,
+		Prog: "attacksim", Token: *token,
 		Workers: *workers, WorkersSet: workersSet, Fleet: fleetFlags,
-		Transport: ch.Transport(),
 	})
 	defer conn.Close()
 

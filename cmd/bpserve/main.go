@@ -1,68 +1,52 @@
-// Command bpserve is the experiment work-server: a daemon that accepts
-// simulation specs over the canonical wire protocol (internal/wire) and
-// returns their results, so bpsim sweeps can fan out across machines
-// with -serve-addrs — or, with -pull, a work-stealing fleet worker that
-// claims batches from a bpsim/attacksim -fleet leader.
+// Command bpserve is the experiment fleet worker: it claims batches of
+// simulation specs from a bpsim/attacksim -fleet leader, simulates
+// them, and reports the results back over the pull-queue protocol
+// (internal/fleet).
 //
 // Usage:
 //
-//	bpserve [-addr HOST:PORT] [-workers N] [-cache DIR] [-drain-timeout D]
-//	        [-token T] [-gc-interval D] [-gc-age D] [-gc-max-bytes N]
-//	        [-tls-cert FILE] [-tls-key FILE] [-slow D]
-//	bpserve -pull HOST:PORT [-pull-batch N] [-id NAME] [-tls-ca FILE]
-//	        [-workers N] [-cache DIR] [-token T] [-slow D]
+//	bpserve -pull HOST:PORT [-pull-batch N] [-id NAME] [-workers N]
+//	        [-cache DIR] [-token T] [-tls-ca FILE] [-drain-timeout D]
+//	        [-gc-interval D] [-gc-age D] [-gc-max-bytes N] [-slow D]
 //
-// Endpoints (push mode):
+// The worker claims up to -pull-batch specs from the leader under a
+// lease, heartbeats while simulating, reports each result as it lands,
+// and goes back for more. -workers bounds concurrent simulations
+// (default: one per CPU). -id names the worker for lease bookkeeping
+// (default host:pid). A worker that dies mid-batch forfeits its lease
+// and the fleet steals the stalled specs. Specs may be performance runs
+// or attack jobs (attacksim -fleet); the worker executes both kinds.
 //
-//	POST /run      {"schema":..., "spec":...} -> {"schema":..., "result":...}
-//	GET  /healthz  status, schema version, capacity, in-flight count
-//	GET  /statz    live load and cache counters (fleet routing inputs)
+// Every result is written through to -cache (default ~/.cache/xorbp),
+// so workers sharing a directory — with each other or with bpsim —
+// never repeat a spec. A spec already in the cache is answered without
+// simulating.
 //
-// -workers bounds concurrent simulations (default: one per CPU); excess
-// requests queue. Every result is written through to -cache (default
-// ~/.cache/xorbp), so workers sharing a directory — with each other or
-// with bpsim — never repeat a spec. A spec already in the cache is
-// answered without simulating. Specs may be performance runs or attack
-// jobs (attacksim -serve-addrs); the worker executes both kinds.
-//
-// -token requires every request to carry "Authorization: Bearer T"
-// (the same flag on bpsim/attacksim); mismatches get 401. The protocol
-// remains plaintext HTTP — the token authenticates peers, it is not
-// transport security.
+// -token presents "Authorization: Bearer T" on every leader request
+// (the leader's -token); a leader that refuses it stops the worker with
+// an error. -tls-ca pins the leader's CA and switches claims to HTTPS.
 //
 // -gc-interval makes the worker garbage-collect its cache directory
 // periodically (0 disables), bounding its own disk use instead of
 // waiting for a manual `bpsim -cache-gc`: superseded schema directories
 // are removed, then entries older than -gc-age, then the oldest
-// survivors until the directory fits -gc-max-bytes.
+// survivors until the directory fits -gc-max-bytes. The first pass runs
+// at start-up.
 //
-// -tls-cert/-tls-key serve the push endpoint over TLS (clients pin the
-// CA with their -tls-ca flag). -slow injects a fixed delay before every
-// simulation — the slow-worker model for strategy benchmarks and the
-// CI smoke topology; results are unaffected.
+// -slow injects a fixed delay before every simulation — the
+// slow-worker model for strategy benchmarks and the CI smoke topology;
+// results are unaffected.
 //
-// -pull HOST:PORT flips the daemon into a work-stealing fleet worker:
-// instead of listening, it claims batches of up to -pull-batch specs
-// from the leader under a lease, heartbeats while simulating, reports
-// each result as it lands, and goes back for more. -id names the
-// worker for lease bookkeeping (default host:pid); -tls-ca pins the
-// leader's CA. A pull worker that dies mid-batch forfeits its lease
-// and the fleet steals the stalled specs.
-//
-// On SIGINT/SIGTERM the daemon drains gracefully. Push mode: /healthz
-// reports "draining", new /run requests get 503 (clients fail over),
-// and in-flight simulations run to completion before exit, bounded by
-// -drain-timeout. Pull mode: the worker stops claiming, finishes the
-// specs it has started, and nacks the rest of its lease back to the
-// leader immediately instead of letting it time out.
+// On SIGINT/SIGTERM the worker drains gracefully: it stops claiming,
+// finishes the specs it has started, and nacks the rest of its lease
+// back to the leader immediately instead of letting it time out,
+// bounded by -drain-timeout. A second signal exits at once.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -72,16 +56,14 @@ import (
 	"xorbp/internal/fleet"
 	"xorbp/internal/runcache"
 	"xorbp/internal/runner"
-	"xorbp/internal/serve"
 	"xorbp/internal/trace"
 	"xorbp/internal/wire"
 )
 
-// runPull is the -pull entrypoint: a work-stealing fleet worker
-// claiming batches from a bpsim/attacksim -fleet leader until
-// signalled. On SIGINT/SIGTERM it stops claiming, finishes the specs
-// it has started, nacks the rest of its lease back, and exits; a
-// second signal exits immediately.
+// runPull is the worker loop: claim batches from the leader until
+// signalled. On SIGINT/SIGTERM it stops claiming, finishes the specs it
+// has started, nacks the rest of its lease back, and exits; a second
+// signal exits immediately.
 func runPull(leader, id, token, tlsCA string, backend experiment.Backend,
 	st *runcache.Store, batch, workers int, drainTimeout time.Duration) {
 	if id == "" {
@@ -143,26 +125,26 @@ func runPull(leader, id, token, tlsCA string, backend experiment.Backend,
 }
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:8091", "listen address")
 	workers := flag.Int("workers", runner.DefaultWorkers(), "concurrent simulation limit (<=0: one per CPU)")
 	cacheDir := flag.String("cache", runcache.DefaultDir(), "shared run-cache directory (\"\" disables)")
-	drainTimeout := flag.Duration("drain-timeout", 10*time.Minute, "max wait for in-flight simulations on shutdown")
-	token := flag.String("token", "", "shared bearer token clients must present (\"\" = open)")
+	drainTimeout := flag.Duration("drain-timeout", 10*time.Minute, "max wait for started simulations on shutdown")
+	token := flag.String("token", "", "shared bearer token to present to the leader (\"\" = none)")
 	gcInterval := flag.Duration("gc-interval", 6*time.Hour, "period between automatic cache GC passes (0 disables)")
 	gcAge := flag.Duration("gc-age", 30*24*time.Hour, "GC: remove entries older than this (0 disables the age bound)")
 	gcMaxBytes := flag.Int64("gc-max-bytes", 4<<30, "GC: evict oldest entries until the cache fits this many bytes (0 disables)")
-	pull := flag.String("pull", "", "fleet leader address (bpsim -fleet): claim work instead of listening")
-	pullBatch := flag.Int("pull-batch", 0, "with -pull: max specs claimed per lease (<=0: 2x workers)")
-	workerID := flag.String("id", "", "with -pull: stable worker identity for lease bookkeeping (default host:pid)")
-	tlsCert := flag.String("tls-cert", "", "serve the push endpoint over TLS with this certificate")
-	tlsKey := flag.String("tls-key", "", "private key for -tls-cert")
-	tlsCA := flag.String("tls-ca", "", "with -pull: PEM CA bundle to pin for the leader; claims switch to HTTPS")
+	pull := flag.String("pull", "", "fleet leader address (bpsim/attacksim -fleet) to claim work from (required)")
+	pullBatch := flag.Int("pull-batch", 0, "max specs claimed per lease (<=0: 2x workers)")
+	workerID := flag.String("id", "", "stable worker identity for lease bookkeeping (default host:pid)")
+	tlsCA := flag.String("tls-ca", "", "PEM CA bundle to pin for the leader; claims switch to HTTPS")
 	slow := flag.Duration("slow", 0, "inject a fixed delay before every simulation (slow-worker model for benchmarks; results unaffected)")
 	flag.Parse()
 
-	if (*tlsCert != "") != (*tlsKey != "") {
-		fmt.Fprintln(os.Stderr, "bpserve: -tls-cert and -tls-key come as a pair")
+	if *pull == "" {
+		fmt.Fprintln(os.Stderr, "usage: bpserve -pull HOST:PORT [flags]  (run bpserve -h for the flag list)")
 		os.Exit(2)
+	}
+	if *workers <= 0 {
+		*workers = runner.DefaultWorkers()
 	}
 
 	var st *runcache.Store
@@ -174,63 +156,18 @@ func main() {
 			st = nil
 		}
 	}
+	if st != nil {
+		// Both live schemas sharing the directory survive the periodic
+		// sweep: the experiment/attack run cache and bptrace's recordings.
+		stopGC := runcache.StartGC(*cacheDir, []string{wire.SchemaVersion(), trace.CacheSchema()},
+			*gcInterval, runcache.GCOptions{MaxAge: *gcAge, MaxBytes: *gcMaxBytes}, os.Stderr)
+		defer stopGC()
+	}
 
 	var backend experiment.Backend = experiment.LocalBackend{}
 	if *slow > 0 {
 		backend = fleet.Throttle{Inner: backend, Delay: *slow}
 	}
 
-	if *pull != "" {
-		runPull(*pull, *workerID, *token, *tlsCA, backend, st, *pullBatch, *workers, *drainTimeout)
-		return
-	}
-
-	srv := serve.New(*workers, st)
-	srv.SetBackend(backend)
-	srv.SetToken(*token)
-	if st != nil {
-		// Both live schemas sharing the directory survive the periodic
-		// sweep: the experiment/attack run cache and bptrace's recordings.
-		stopGC := serve.StartGC(*cacheDir, []string{wire.SchemaVersion(), trace.CacheSchema()},
-			*gcInterval, runcache.GCOptions{MaxAge: *gcAge, MaxBytes: *gcMaxBytes}, os.Stderr)
-		defer stopGC()
-	}
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	errc := make(chan error, 1)
-	go func() {
-		if *tlsCert != "" {
-			errc <- hs.ListenAndServeTLS(*tlsCert, *tlsKey)
-		} else {
-			errc <- hs.ListenAndServe()
-		}
-	}()
-	cache := "disabled"
-	if st != nil {
-		cache = st.Dir()
-	}
-	fmt.Fprintf(os.Stderr, "bpserve: listening on %s (capacity %d, cache %s)\n",
-		*addr, srv.Capacity(), cache)
-
-	select {
-	case err := <-errc:
-		fmt.Fprintf(os.Stderr, "bpserve: %v\n", err)
-		os.Exit(1)
-	case <-ctx.Done():
-	}
-
-	// Graceful drain: refuse new work, let in-flight simulations finish.
-	srv.SetDraining(true)
-	fmt.Fprintf(os.Stderr, "bpserve: draining (%d simulations executed, %d replayed)\n",
-		srv.Runs(), srv.Replays())
-	sctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	if err := hs.Shutdown(sctx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fmt.Fprintf(os.Stderr, "bpserve: shutdown: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Fprintln(os.Stderr, "bpserve: drained")
+	runPull(*pull, *workerID, *token, *tlsCA, backend, st, *pullBatch, *workers, *drainTimeout)
 }

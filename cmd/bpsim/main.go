@@ -4,10 +4,9 @@
 //
 //	bpsim -exp table2|table3|workloads|fig1|fig2|fig3|fig7|fig8|fig9|fig10|rekey|table4|table5|mpki|residency|all
 //	      [-scale full|bench|micro] [-seed N] [-workers N] [-progress] [-json]
-//	      [-cache DIR] [-serve-addrs HOST:PORT,...] [-shard I/N] [-token T]
-//	      [-route POLICY] [-tls-ca FILE]
+//	      [-cache DIR] [-shard I/N] [-token T]
 //	      [-fleet HOST:PORT] [-fleet-lease D] [-tls-cert FILE] [-tls-key FILE]
-//	      [-journal FILE] [-resume] [-chaos PLAN] [-degrade=false]
+//	      [-journal FILE] [-resume] [-chaos PLAN]
 //	      [-cache-gc] [-gc-age D] [-gc-max-bytes N]
 //	      [-cpuprofile FILE] [-memprofile FILE]
 //
@@ -18,22 +17,17 @@
 // (default ~/.cache/xorbp; -cache "" disables): a second run of the same
 // experiments replays results from the store instead of simulating.
 //
-// -serve-addrs dispatches simulations to bpserve worker daemons instead
-// of the local pool. Tables are byte-identical to a local run: results
-// are pure functions of their specs regardless of where they execute.
-// Unless -workers is set explicitly, the fan-out width is the fleet's
-// total capacity. -route picks the push routing policy (roundrobin,
-// leastloaded, capacity, affinity — see internal/fleet); -tls-ca pins
-// the workers' CA and switches dispatch to HTTPS.
-//
-// -fleet HOST:PORT inverts the dispatch: this process becomes a
+// -fleet HOST:PORT distributes the sweep: this process becomes a
 // pull-queue leader, and bpserve workers started with -pull HOST:PORT
 // claim batches of specs under a -fleet-lease lease, heartbeat while
 // simulating, and report results back. A worker that dies mid-batch
 // forfeits its lease and the rest of the fleet steals the stalled
-// cells. -tls-cert/-tls-key serve the leader endpoint over TLS.
-// Mutually exclusive with -serve-addrs; tables stay byte-identical to
-// a serial run under every topology.
+// cells. -token requires workers to present the same bearer token;
+// -tls-cert/-tls-key serve the leader endpoint over TLS. Unless
+// -workers is set explicitly, the leader keeps 128 submissions
+// outstanding. Tables stay byte-identical to a serial run under every
+// topology: results are pure functions of their specs regardless of
+// where they execute.
 //
 // -journal FILE makes the sweep crash-safe: every planned wire key and
 // every resolved result is appended (fsynced) to an append-only WAL, so
@@ -43,13 +37,10 @@
 // uninterrupted run.
 //
 // -chaos PLAN arms deterministic fault injection from a FaultPlan JSON
-// file (see internal/chaos): seeded faults fire at the transport, run
-// cache and fleet seams, and a run is exactly replayable from its plan.
-// With -serve-addrs, a per-worker circuit breaker rides out injected
-// (or real) outages, and -degrade (default true) falls back to
-// in-process simulation when every circuit is open instead of failing
-// the sweep. -chaos is for hardening tests; results stay correct under
-// it or the run fails loudly.
+// file (see internal/chaos): in a sweep, seeded faults fire at the run
+// cache's write path, and a run is exactly replayable from its plan.
+// -chaos is for hardening tests; results stay correct under it or the
+// run fails loudly.
 //
 // -shard I/N statically partitions the grid: this process simulates only
 // the cells whose key hashes to shard I of N, skips the rest, and
@@ -150,12 +141,11 @@ func main() {
 	scaleName := flag.String("scale", "full", "simulation scale: full, bench or micro")
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	asJSON := flag.Bool("json", false, "emit per-run records, machine-readable JSON tables and a final summary record instead of text")
-	workers := flag.Int("workers", runner.DefaultWorkers(), "simulation worker pool size (<=0: one per CPU; with -serve-addrs, defaults to fleet capacity)")
+	workers := flag.Int("workers", runner.DefaultWorkers(), "simulation worker pool size (<=0: one per CPU; with -fleet, the outstanding submissions, default 128)")
 	progress := flag.Bool("progress", false, "emit a line per completed simulation to stderr, with session-wide ETA")
 	cacheDir := flag.String("cache", runcache.DefaultDir(), "persistent run-cache directory (\"\" disables)")
-	serveAddrs := flag.String("serve-addrs", "", "comma-separated bpserve worker addresses (host:port); simulations run remotely")
 	shard := flag.String("shard", "", "static grid shard I/N (0-based): simulate only owned cells, skip the rest, suppress tables")
-	token := flag.String("token", "", "bearer token for -serve-addrs workers (bpserve -token)")
+	token := flag.String("token", "", "with -fleet: bearer token pull workers must present (bpserve -token)")
 	cacheGC := flag.Bool("cache-gc", false, "garbage-collect the run cache and exit (see -gc-age, -gc-max-bytes)")
 	gcAge := flag.Duration("gc-age", 30*24*time.Hour, "with -cache-gc: remove entries older than this (0 disables)")
 	gcMaxBytes := flag.Int64("gc-max-bytes", 4<<30, "with -cache-gc: evict oldest entries until the cache fits this many bytes (0 disables)")
@@ -203,7 +193,7 @@ func main() {
 
 	// A fleet sweep has a sink too: pull workers cache on their side.
 	shardI, shardN := driver.ParseShard("bpsim", *shard,
-		*cacheDir != "" || *serveAddrs != "" || *fleetFlags.Fleet != "")
+		*cacheDir != "" || *fleetFlags.Fleet != "")
 
 	reg := runners()
 	names := []string{*exp}
@@ -218,15 +208,13 @@ func main() {
 		}
 	}
 
-	// Pick the topology: the in-process pool, a push-routed bpserve
-	// fleet, or a pull-queue leader.
+	// Pick the topology: the in-process pool or a pull-queue leader.
 	workersSet := false
 	flag.Visit(func(f *flag.Flag) { workersSet = workersSet || f.Name == "workers" })
 	ch := driver.LoadChaos("bpsim", *chaosPlan)
 	conn := driver.Connect(driver.ConnectOptions{
-		Prog: "bpsim", ServeAddrs: *serveAddrs, Token: *token,
+		Prog: "bpsim", Token: *token,
 		Workers: *workers, WorkersSet: workersSet, Fleet: fleetFlags,
-		Transport: ch.Transport(),
 	})
 	defer conn.Close()
 

@@ -12,13 +12,12 @@
 // Scenarios:
 //
 //	serial   fault-free reference renders (Figure 1 and the re-key sweep)
-//	push     bpserve fleet behind a fault-injecting transport (timeouts,
-//	         resets, 5xx, slow), circuit breakers and in-process
-//	         degradation armed, plus cache write corruption — reopened
-//	         stores must quarantine exactly the corrupted entries
 //	pull     pull-queue fleet with worker crashes mid-lease, dropped
-//	         heartbeats and duplicate completions; sweep journal attached,
-//	         then replayed into a fresh executor (zero re-simulation)
+//	         heartbeats and duplicate completions, plus cache write
+//	         corruption on the leader's store; sweep journal attached,
+//	         then replayed into a fresh executor (zero re-simulation),
+//	         and the reopened store must quarantine exactly the
+//	         corrupted entries
 //	restart  the pull leader is killed mid-sweep at a plan-scheduled
 //	         point; a restarted leader resumes from the journal, workers
 //	         rejoin, and only the remainder is simulated
@@ -48,14 +47,13 @@ import (
 	"xorbp/internal/experiment"
 	"xorbp/internal/fleet"
 	"xorbp/internal/runcache"
-	"xorbp/internal/serve"
 	"xorbp/internal/wire"
 )
 
 func main() {
 	planPath := flag.String("plan", "CHAOS_PLAN.json", "FaultPlan JSON file driving every scenario")
 	scaleName := flag.String("scale", "micro", "workload scale: micro or bench")
-	fleetN := flag.Int("fleet", 3, "fleet size (serve workers / pull workers)")
+	fleetN := flag.Int("fleet", 3, "fleet size (pull workers)")
 	capacity := flag.Int("cap", 4, "simulation slots per fleet member")
 	check := flag.Bool("check", false, "exit 1 on any divergence or failed invariant")
 	flag.Parse()
@@ -88,7 +86,6 @@ func main() {
 	serialRekey := h.mustRenderRekey(experiment.NewExecutor(1))
 	fmt.Println("serial: reference renders done")
 
-	h.push(serialFig)
 	h.pull(serialFig)
 	h.restart(serialFig)
 	h.snap(serialRekey)
@@ -162,108 +159,9 @@ func (h *harness) tempDir(pattern string) string {
 	return dir
 }
 
-// member is one in-process bpserve worker on a loopback listener.
-type member struct {
-	srv  *serve.Server
-	addr string
-	hs   *http.Server
-}
-
-func (h *harness) startMembers() []member {
-	members := make([]member, h.n)
-	for i := range members {
-		srv := serve.New(h.cap, nil)
-		srv.SetBackend(experiment.LocalBackend{})
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "chaosbench: %v\n", err)
-			os.Exit(1)
-		}
-		hs := &http.Server{Handler: srv.Handler()}
-		go func() { _ = hs.Serve(ln) }()
-		members[i] = member{srv: srv, addr: ln.Addr().String(), hs: hs}
-	}
-	return members
-}
-
-func stopMembers(members []member) {
-	for _, m := range members {
-		_ = m.hs.Close()
-	}
-}
-
-// push: transport faults against a real HTTP fleet, with circuit
-// breakers, in-process degradation and cache write corruption all armed.
-func (h *harness) push(serial string) {
-	inj := h.injector()
-	members := h.startMembers()
-	defer stopMembers(members)
-	addrs := make([]string, len(members))
-	for i, m := range members {
-		addrs[i] = m.addr
-	}
-
-	client := wire.NewClient(addrs)
-	client.SetTransport(chaos.NewTransport(inj, nil))
-	// Collapse the retry backoff: chaosbench measures invariants, not
-	// wall time, and injected timeouts would otherwise cost seconds.
-	client.SetSleep(func(ctx context.Context, _ time.Duration) error { return ctx.Err() })
-	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	err := client.Probe(ctx)
-	cancel()
-	if err != nil {
-		h.failf("push: probe: %v", err)
-		return
-	}
-
-	dir := h.tempDir("chaosbench-push-*")
-	defer os.RemoveAll(dir)
-	st, err := runcache.Open(dir, experiment.SchemaVersion())
-	if err != nil {
-		h.failf("push: %v", err)
-		return
-	}
-	st.SetFileFault(chaos.NewCacheFaults(inj))
-
-	exec := experiment.NewExecutorWith(client.Workers(), driver.NewFallback("chaosbench", client))
-	exec.SetStore(st)
-	render := h.mustRender(exec)
-	if render != serial {
-		h.failf("push: render diverged from serial under transport+cache faults")
-	}
-
-	counts := inj.Counts()
-	corrupted := int(counts["cachefile/bitflip"] + counts["cachefile/truncate"])
-	if got := st.Stats().PutErrors; got != int(counts["cachefile/enospc"]) {
-		h.failf("push: %d put errors, want %d (one per injected enospc)", got, counts["cachefile/enospc"])
-	}
-
-	// Reopen the cache: every corrupted file must be quarantined, and a
-	// warm render over the survivors must re-simulate exactly the lost
-	// entries (corrupted + never-written) and still match serial.
-	st2, err := runcache.Open(dir, experiment.SchemaVersion())
-	if err != nil {
-		h.failf("push: reopen: %v", err)
-		return
-	}
-	if got := st2.Stats().Quarantined; got != corrupted {
-		h.failf("push: reopen quarantined %d entries, want %d (bitflip+truncate fires)", got, corrupted)
-	}
-	warm := experiment.NewExecutorWith(4, experiment.LocalBackend{})
-	warm.SetStore(st2)
-	if h.mustRender(warm) != serial {
-		h.failf("push: warm render from quarantine-swept cache diverged")
-	}
-	lost := corrupted + int(counts["cachefile/enospc"])
-	if int(warm.Runs()) != lost {
-		h.failf("push: warm render simulated %d cells, want %d (corrupted+enospc)", warm.Runs(), lost)
-	}
-	fmt.Printf("push: identical; breakers open at end: %d; warm pass re-simulated %d lost entries; faults: %v\n",
-		client.OpenCircuits(), lost, inj.CountLines())
-}
-
-// pull: worker-lifecycle faults against a real pull queue, with the
-// sweep journal attached and then replayed into a fresh executor.
+// pull: worker-lifecycle faults against a real pull queue and cache
+// write corruption on the leader's store, with the sweep journal
+// attached and then replayed into a fresh executor.
 func (h *harness) pull(serial string) {
 	inj := h.injector()
 	// A short lease keeps crashed-batch stealing fast; chaosbench's
@@ -295,7 +193,16 @@ func (h *harness) pull(serial string) {
 	defer os.RemoveAll(dir)
 	jpath := filepath.Join(dir, "sweep.journal")
 
+	cacheDir := filepath.Join(dir, "cache")
+	st, err := runcache.Open(cacheDir, experiment.SchemaVersion())
+	if err != nil {
+		h.failf("pull: %v", err)
+		return
+	}
+	st.SetFileFault(chaos.NewCacheFaults(inj))
+
 	exec := experiment.NewExecutorWith(h.n*h.cap, leader.Backend())
+	exec.SetStore(st)
 	h.planFig(exec)
 	j, err := driver.OpenJournal(jpath, experiment.SchemaVersion(), false)
 	if err != nil {
@@ -307,7 +214,7 @@ func (h *harness) pull(serial string) {
 
 	render := h.mustRender(exec)
 	if render != serial {
-		h.failf("pull: render diverged from serial under worker faults")
+		h.failf("pull: render diverged from serial under worker and cache faults")
 	}
 	if err := j.Err(); err != nil {
 		h.failf("pull: journal: %v", err)
@@ -318,7 +225,7 @@ func (h *harness) pull(serial string) {
 	_ = j.Close()
 
 	counts := inj.Counts()
-	st := q.Stats()
+	qs := q.Stats()
 	var crashes uint64
 	for _, w := range workers {
 		crashes += w.Crashes()
@@ -326,7 +233,7 @@ func (h *harness) pull(serial string) {
 	if crashes != counts["fleet/workercrash"] {
 		h.failf("pull: %d worker crashes, want %d (plan fires)", crashes, counts["fleet/workercrash"])
 	}
-	if crashes > 0 && st.Stolen == 0 {
+	if crashes > 0 && qs.Stolen == 0 {
 		h.failf("pull: a worker crashed mid-lease but no specs were stolen")
 	}
 
@@ -350,8 +257,34 @@ func (h *harness) pull(serial string) {
 	if resumed.Runs() != 0 {
 		h.failf("pull: resumed render simulated %d cells, want 0", resumed.Runs())
 	}
-	fmt.Printf("pull: identical; crashes=%d stolen=%d duplicates=%d; resume replayed %d cells with 0 simulations; faults: %v\n",
-		crashes, st.Stolen, st.Duplicates, primed, inj.CountLines())
+
+	// The leader's store: every injected enospc is one put error, a
+	// reopen quarantines every corrupted entry, and a warm render over
+	// the survivors re-simulates exactly the lost entries (corrupted +
+	// never written) and still matches serial.
+	corrupted := int(counts["cachefile/bitflip"] + counts["cachefile/truncate"])
+	if got := st.Stats().PutErrors; got != int(counts["cachefile/enospc"]) {
+		h.failf("pull: %d put errors, want %d (one per injected enospc)", got, counts["cachefile/enospc"])
+	}
+	st2, err := runcache.Open(cacheDir, experiment.SchemaVersion())
+	if err != nil {
+		h.failf("pull: reopen: %v", err)
+		return
+	}
+	if got := st2.Stats().Quarantined; got != corrupted {
+		h.failf("pull: reopen quarantined %d entries, want %d (bitflip+truncate fires)", got, corrupted)
+	}
+	warm := experiment.NewExecutorWith(4, experiment.LocalBackend{})
+	warm.SetStore(st2)
+	if h.mustRender(warm) != serial {
+		h.failf("pull: warm render from quarantine-swept cache diverged")
+	}
+	lost := corrupted + int(counts["cachefile/enospc"])
+	if int(warm.Runs()) != lost {
+		h.failf("pull: warm render simulated %d cells, want %d (corrupted+enospc)", warm.Runs(), lost)
+	}
+	fmt.Printf("pull: identical; crashes=%d stolen=%d duplicates=%d; resume replayed %d cells with 0 simulations; warm pass re-simulated %d lost entries; faults: %v\n",
+		crashes, qs.Stolen, qs.Duplicates, primed, lost, inj.CountLines())
 }
 
 // crashingBackend wraps the leader's submitting backend: at the

@@ -1,28 +1,26 @@
-// Command fleetbench measures the fleet dispatch policies against each
-// other and writes the evidence behind STRATEGY_LEDGER.md.
+// Command fleetbench measures the fleet dispatch topologies against
+// each other and writes the evidence behind STRATEGY_LEDGER.md.
 //
 // Usage:
 //
 //	fleetbench [-scale micro|bench] [-fleet 3] [-cap 4]
-//	           [-skew 0] [-policies serial,shard,...] [-repeat]
-//	           [-statz-interval 50ms] [-check]
+//	           [-skew 0] [-policies shard,pull] [-repeat] [-check]
 //
 // Every policy resolves the same workload — the full Figure 1 grid —
-// on the same in-process fleet: N bpserve workers (real HTTP, real
-// wire protocol) for the push policies, N pull workers against a
-// leader queue for `pull`, N store-sharing shard processes for
-// `shard`, and a single local executor for `serial`. -skew slows the
-// last fleet member by the given per-simulation delay, turning the
-// uniform fleet into the straggler fleet the adaptive policies exist
-// for.
+// on the same in-process fleet: N pull workers against a leader queue
+// (real HTTP, real queue protocol) for `pull`, N store-sharing shard
+// processes for `shard`, and a single local executor for `serial`,
+// which always runs as the reference. -skew slows the last fleet
+// member by the given per-simulation delay, turning the uniform fleet
+// into the straggler fleet pull dispatch exists for.
 //
 // For each policy it reports wall time, speedup over serial, and the
 // per-member simulation distribution, and it verifies that the
 // rendered figure is byte-identical to the serial render — dispatch
 // policy must never be observable in results. -check exits 1 on any
 // divergence (CI runs this gate). -repeat runs the figure a second
-// time on the same warm fleet (fresh executor, workers keep their
-// stores), which is where runcache-affinity routing earns its keep.
+// time on the same warm fleet (fresh executor, members keep their
+// stores and the pull leader its queue).
 package main
 
 import (
@@ -38,7 +36,6 @@ import (
 	"xorbp/internal/experiment"
 	"xorbp/internal/fleet"
 	"xorbp/internal/runcache"
-	"xorbp/internal/serve"
 	"xorbp/internal/wire"
 )
 
@@ -48,9 +45,8 @@ func main() {
 		fleetN    = flag.Int("fleet", 3, "fleet size (workers / shards)")
 		capacity  = flag.Int("cap", 4, "simulation slots per fleet member")
 		skew      = flag.Duration("skew", 0, "per-simulation delay on the last fleet member (0 = uniform fleet)")
-		policies  = flag.String("policies", strings.Join(fleet.LedgerPolicies(), ","), "comma-separated policies to measure")
+		policies  = flag.String("policies", "shard,pull", "comma-separated policies to measure besides serial (shard, pull)")
 		repeat    = flag.Bool("repeat", false, "run the figure twice on the same warm fleet (second pass exercises the stores)")
-		statzEach = flag.Duration("statz-interval", 50*time.Millisecond, "statz poll interval for the leastloaded policy")
 		check     = flag.Bool("check", false, "exit 1 if any policy's render differs from serial")
 	)
 	flag.Parse()
@@ -71,12 +67,11 @@ func main() {
 	}
 
 	b := &bench{
-		scale:     scale,
-		n:         *fleetN,
-		cap:       *capacity,
-		skew:      *skew,
-		repeat:    *repeat,
-		statzEach: *statzEach,
+		scale:  scale,
+		n:      *fleetN,
+		cap:    *capacity,
+		skew:   *skew,
+		repeat: *repeat,
 	}
 
 	fmt.Printf("# fleetbench: %d members x %d slots, scale %s, skew %s\n\n",
@@ -118,11 +113,10 @@ type row struct {
 }
 
 type bench struct {
-	scale     experiment.Scale
-	n, cap    int
-	skew      time.Duration
-	repeat    bool
-	statzEach time.Duration
+	scale  experiment.Scale
+	n, cap int
+	skew   time.Duration
+	repeat bool
 }
 
 // backendFor returns the local backend for fleet member i, throttled
@@ -164,104 +158,10 @@ func (b *bench) run(policy string, serial row) row {
 	case "pull":
 		return b.runPull(serial)
 	default:
-		if _, ok := fleet.ScorerByName(policy); !ok {
-			fmt.Fprintf(os.Stderr, "fleetbench: unknown policy %q (have %s)\n",
-				policy, strings.Join(fleet.LedgerPolicies(), ", "))
-			os.Exit(2)
-		}
-		return b.runPush(policy, serial)
+		fmt.Fprintf(os.Stderr, "fleetbench: unknown policy %q (have serial, shard, pull)\n", policy)
+		os.Exit(2)
+		return row{}
 	}
-}
-
-// member is one in-process bpserve worker on a real loopback listener.
-type member struct {
-	srv  *serve.Server
-	addr string
-	hs   *http.Server
-}
-
-func (b *bench) startMembers() []member {
-	members := make([]member, b.n)
-	for i := range members {
-		var store *runcache.Store
-		if b.repeat {
-			dir, err := os.MkdirTemp("", "fleetbench-store-*")
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "fleetbench: %v\n", err)
-				os.Exit(1)
-			}
-			defer os.RemoveAll(dir)
-			store, err = runcache.Open(dir, wire.SchemaVersion())
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "fleetbench: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		srv := serve.New(b.cap, store)
-		srv.SetBackend(b.backendFor(i))
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fleetbench: %v\n", err)
-			os.Exit(1)
-		}
-		hs := &http.Server{Handler: srv.Handler()}
-		go func() { _ = hs.Serve(ln) }()
-		members[i] = member{srv: srv, addr: ln.Addr().String(), hs: hs}
-	}
-	return members
-}
-
-func stopMembers(members []member) {
-	for _, m := range members {
-		_ = m.hs.Close()
-	}
-}
-
-func (b *bench) runPush(policy string, serial row) row {
-	members := b.startMembers()
-	defer stopMembers(members)
-	addrs := make([]string, len(members))
-	for i, m := range members {
-		addrs[i] = m.addr
-	}
-
-	client := wire.NewClient(addrs)
-	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	if err := client.Probe(ctx); err != nil {
-		cancel()
-		fmt.Fprintf(os.Stderr, "fleetbench: probe: %v\n", err)
-		os.Exit(1)
-	}
-	cancel()
-
-	scorer, _ := fleet.ScorerByName(policy)
-	router := fleet.NewRouter(client, scorer)
-	router.Install()
-	if policy == (fleet.LeastLoaded{}).Name() {
-		pollCtx, stopPoll := context.WithCancel(context.Background())
-		defer stopPoll()
-		go router.Poll(pollCtx, b.statzEach)
-	}
-
-	start := time.Now()
-	render := b.render(experiment.NewExecutorWith(client.Workers(), client))
-	r := row{policy: policy, wall: time.Since(start), render: render,
-		identical: render == serial.render}
-	for _, m := range members {
-		r.dist = append(r.dist, m.srv.Runs())
-	}
-	if b.repeat {
-		start = time.Now()
-		warm := b.render(experiment.NewExecutorWith(client.Workers(), client))
-		r.warmWall = time.Since(start)
-		if warm != serial.render {
-			r.identical = false
-		}
-		for _, m := range members {
-			r.replays += m.srv.Replays()
-		}
-	}
-	return r
 }
 
 func (b *bench) runPull(serial row) row {

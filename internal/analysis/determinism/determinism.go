@@ -41,7 +41,6 @@ var wirePathSuffixes = []string{
 	"internal/wire",
 	"internal/runcache",
 	"internal/experiment",
-	"internal/serve",
 	"internal/driver",
 	"internal/fleet",
 	"internal/chaos",

@@ -1,7 +1,7 @@
 // Package errcheck implements the bpvet analyzer that forbids silently
 // dropped errors on the I/O-bearing paths: the run cache, the wire
-// protocol, the HTTP server, trace handling, the backing stores, and
-// the driver.
+// protocol, the fleet's queue protocol, trace handling, the backing
+// stores, and the driver.
 //
 // The rule is deliberately narrower than a full errcheck: only a call
 // used as a bare expression statement is flagged, and only in the
@@ -25,7 +25,7 @@ import (
 // Analyzer is the dropped-error checker.
 var Analyzer = &analysis.Analyzer{
 	Name: "errcheck",
-	Doc:  "forbid bare call statements that discard an error on cache/wire/serve/store I/O paths",
+	Doc:  "forbid bare call statements that discard an error on cache/wire/fleet/store I/O paths",
 	Run:  run,
 }
 
@@ -33,7 +33,6 @@ var Analyzer = &analysis.Analyzer{
 // or transmitted state.
 var scopedSuffixes = []string{
 	"internal/runcache",
-	"internal/serve",
 	"internal/wire",
 	"internal/trace",
 	"internal/store",

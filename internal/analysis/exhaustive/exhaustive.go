@@ -1,5 +1,5 @@
 // Package exhaustive implements the bpvet analyzer that keeps the
-// repo's three dispatch registries closed under extension.
+// repo's dispatch registries closed under extension.
 //
 // Adding a mechanism (STBPU, CIBPU) or predictor touches several
 // mirrored lists: the wire Kind* constants and the switches that
@@ -18,13 +18,7 @@
 //     NewDirPredictor's switch, and NewDirPredictor's case set equals
 //     validPredictor's — the wire validator may not drift from the
 //     constructor;
-//  4. in internal/fleet, every Scorer implementation appears in
-//     ScorerByName (rule 2's shape), ScorerNames() equals the registry
-//     case set, and LedgerPolicies() — the strategies
-//     STRATEGY_LEDGER.md must benchmark — contains every scorer name
-//     plus "pull": a routing policy cannot ship without its committed
-//     ledger row;
-//  5. in internal/chaos, every Fault implementation appears in
+//  4. in internal/chaos, every Fault implementation appears in
 //     FaultByName (rule 2's shape) and FaultNames() equals the registry
 //     case set — the FaultPlan rule vocabulary may not drift from the
 //     kinds an injector can actually fire.
@@ -60,10 +54,6 @@ func run(pass *analysis.Pass) error {
 	}
 	if strings.HasSuffix(pass.Path, "internal/experiment") {
 		checkPredictorLists(pass)
-	}
-	if strings.HasSuffix(pass.Path, "internal/fleet") {
-		checkRegistry(pass, "Scorer", "ScorerByName")
-		checkScorerLists(pass)
 	}
 	if strings.HasSuffix(pass.Path, "internal/chaos") {
 		checkRegistry(pass, "Fault", "FaultByName")
@@ -398,60 +388,12 @@ func sortedDiff(a, b map[string]bool) []string {
 	return out
 }
 
-// --- rule 4: fleet scorer lists --------------------------------------
-
-// checkScorerLists holds the fleet dispatch vocabulary mutually
-// complete: ScorerNames (the -route flag's vocabulary) must equal the
-// ScorerByName case set, and LedgerPolicies (the strategies the
-// committed STRATEGY_LEDGER.md benchmarks) must contain every scorer
-// name plus "pull" — a routing policy cannot ship without its ledger
-// row, and the pull queue may not drop out of the comparison.
-func checkScorerLists(pass *analysis.Pass) {
-	names := findFunc(pass, "ScorerNames")
-	ctor := findFunc(pass, "ScorerByName")
-	ledger := findFunc(pass, "LedgerPolicies")
-	if names == nil || ctor == nil || ledger == nil {
-		var missing []string
-		for _, m := range []struct {
-			fd   *ast.FuncDecl
-			name string
-		}{{names, "ScorerNames"}, {ctor, "ScorerByName"}, {ledger, "LedgerPolicies"}} {
-			if m.fd == nil {
-				missing = append(missing, m.name)
-			}
-		}
-		pass.Reportf(pass.Files[0].Pos(), "fleet scorer anchor functions missing: %s; the exhaustive analyzer cannot verify the dispatch registry", strings.Join(missing, ", "))
-		return
-	}
-
-	listed := stringLiteralSet(pass, names.Body)
-	registered := scorerCaseSet(pass, ctor)
-	policies := stringLiteralSet(pass, ledger.Body)
-	if listed == nil || registered == nil || policies == nil {
-		pass.Reportf(names.Pos(), "fleet scorer anchors did not parse as string-literal lists / a T{}.Name() switch; the exhaustive analyzer cannot verify the dispatch registry")
-		return
-	}
-
-	for _, n := range sortedDiff(listed, registered) {
-		pass.Reportf(names.Pos(), "ScorerNames lists %q but ScorerByName has no case for it (-route would reject a documented policy)", n)
-	}
-	for _, n := range sortedDiff(registered, listed) {
-		pass.Reportf(names.Pos(), "ScorerByName constructs %q but ScorerNames does not list it; the -route vocabulary drifted from the registry", n)
-	}
-	for _, n := range sortedDiff(listed, policies) {
-		pass.Reportf(ledger.Pos(), "scorer %q is missing from LedgerPolicies; a routing policy cannot ship without its STRATEGY_LEDGER.md row", n)
-	}
-	if !policies["pull"] {
-		pass.Reportf(ledger.Pos(), `LedgerPolicies omits "pull"; the pull queue must stay in the strategy ledger's comparison`)
-	}
-}
-
-// scorerCaseSet resolves ScorerByName's case keys — T{}.Name() calls,
-// per rule 2 — to their string values by reading each T's Name method
-// literal. A case that is not a Name call, or a Name method that does
-// not return a plain string literal, yields nil (the caller reports
-// the anchor as unparseable).
-func scorerCaseSet(pass *analysis.Pass, fd *ast.FuncDecl) map[string]bool {
+// nameCaseSet resolves a ByName registry's case keys — T{}.Name()
+// calls, per rule 2 — to their string values by reading each T's Name
+// method literal. A case that is not a Name call, or a Name method
+// that does not return a plain string literal, yields nil (the caller
+// reports the anchor as unparseable).
+func nameCaseSet(pass *analysis.Pass, fd *ast.FuncDecl) map[string]bool {
 	set := make(map[string]bool)
 	parsed := true
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -528,7 +470,7 @@ func recvTypeName(recv *ast.FieldList) string {
 	return ""
 }
 
-// --- rule 5: chaos fault lists ----------------------------------------
+// --- rule 4: chaos fault lists ----------------------------------------
 
 // checkFaultLists holds the chaos vocabulary mutually complete:
 // FaultNames (the FaultPlan rule vocabulary) must equal the FaultByName
@@ -552,7 +494,7 @@ func checkFaultLists(pass *analysis.Pass) {
 	}
 
 	listed := stringLiteralSet(pass, names.Body)
-	registered := scorerCaseSet(pass, ctor)
+	registered := nameCaseSet(pass, ctor)
 	if listed == nil || registered == nil {
 		pass.Reportf(names.Pos(), "chaos fault anchors did not parse as a string-literal list / a T{}.Name() switch; the exhaustive analyzer cannot verify the fault registry")
 		return

@@ -32,11 +32,3 @@ func TestPredictorLists(t *testing.T) {
 func TestMissingAnchors(t *testing.T) {
 	analysistest.Run(t, "testdata/src/anchorless", "xorbp/internal/experiment", exhaustive.Analyzer)
 }
-
-// TestScorerLists pins the fleet dispatch registry rule on a
-// deliberately drifted testdata package: an unregistered scorer, name
-// list drift in both directions, and missing ledger rows (a scorer's
-// and the pull queue's) are all diagnosed.
-func TestScorerLists(t *testing.T) {
-	analysistest.Run(t, "testdata/src/fleet", "xorbp/internal/fleet", exhaustive.Analyzer)
-}

@@ -146,8 +146,8 @@ func (c *counter) waitUnder(wg *sync.WaitGroup) {
 	c.mu.Unlock()
 }
 
-// deferredClosure releases through a deferred closure, the serve.go
-// single-flight shape: no leak on any return path.
+// deferredClosure releases through a deferred closure that also
+// updates guarded state: no leak on any return path.
 func (c *counter) deferredClosure() int {
 	c.mu.Lock()
 	defer func() {

@@ -8,10 +8,11 @@
 // context switch, single-stepping interrupts) are modelled as the
 // corresponding isolation-controller events. The cache side channel the
 // listings use for observation is modelled as a noisy Boolean channel
-// (DESIGN.md §2): the paper itself attributes its 96.5%/97.2% baseline
-// rates and ~1% residual rate to Flush+Reload measurement noise on the
-// RISC-V platform (§5.5 footnote 1), so the channel's false-negative and
-// false-positive rates are set to land in that regime.
+// (EXPERIMENTS.md, "Model substitutions"): the paper itself attributes
+// its 96.5%/97.2% baseline rates and ~1% residual rate to Flush+Reload
+// measurement noise on the RISC-V platform (§5.5 footnote 1), so the
+// channel's false-negative and false-positive rates are set to land in
+// that regime.
 package attack
 
 import (

@@ -1,13 +1,12 @@
 // Package chaos is the seeded, fully deterministic fault-injection
 // layer behind `bpsim/attacksim -chaos` and cmd/chaosbench. It threads
-// synthetic failures through the engine's existing seams — the wire
-// client's HTTP transport (timeouts, connection resets, 5xx, slow
-// responses), the run cache's file writes (bit flips, truncation,
-// ENOSPC), the snapshot store's prefix blobs (corruption), and the
-// pull fleet's worker loop (crash mid-lease, heartbeat loss, duplicate
-// completions, leader restart) — without those packages ever importing
-// this one: each seam exposes a small hook interface (http.RoundTripper,
-// runcache.FileFault, fleet.WorkerFaults) that chaos implements.
+// synthetic failures through the engine's existing seams — the run
+// cache's file writes (bit flips, truncation, ENOSPC), the snapshot
+// store's prefix blobs (corruption), and the pull fleet's worker loop
+// (crash mid-lease, heartbeat loss, duplicate completions, leader
+// restart) — without those packages ever importing this one: each seam
+// exposes a small hook interface (runcache.FileFault,
+// fleet.WorkerFaults) that chaos implements.
 //
 // Every decision flows from a FaultPlan: a seed plus per-fault rules.
 // Each rule owns an independent SplitMix64 stream derived from the plan
@@ -22,7 +21,6 @@ package chaos
 // appear in reports and documentation; injection sites consult concrete
 // fault kinds, not seams.
 const (
-	SeamTransport = "transport" // wire.Client HTTP dispatch
 	SeamCacheFile = "cachefile" // runcache entry writes
 	SeamSnapshot  = "snapshot"  // snapshot-store prefix blobs
 	SeamFleet     = "fleet"     // pull-queue worker/leader lifecycle
@@ -35,35 +33,6 @@ type Fault interface {
 	Name() string
 	Seam() string
 }
-
-// Timeout makes a dispatched request fail with a timeout-shaped
-// network error before reaching the worker.
-type Timeout struct{}
-
-func (Timeout) Name() string { return "timeout" }
-func (Timeout) Seam() string { return SeamTransport }
-
-// Reset makes a dispatched request fail as if the peer reset the
-// connection mid-exchange.
-type Reset struct{}
-
-func (Reset) Name() string { return "reset" }
-func (Reset) Seam() string { return SeamTransport }
-
-// HTTP500 answers a dispatched request with a synthesized 500 instead
-// of forwarding it — the worker never sees the spec.
-type HTTP500 struct{}
-
-func (HTTP500) Name() string { return "http500" }
-func (HTTP500) Seam() string { return SeamTransport }
-
-// Slow delays a dispatched request before forwarding it, modeling a
-// straggling worker or congested link. The response is otherwise
-// untouched.
-type Slow struct{}
-
-func (Slow) Name() string { return "slow" }
-func (Slow) Seam() string { return SeamTransport }
 
 // BitFlip flips one deterministic bit in a cache entry on its way to
 // disk: the in-memory copy stays good, and the next Open must detect
@@ -130,14 +99,6 @@ func (LeaderRestart) Seam() string { return SeamFleet }
 // mutually complete.
 func FaultByName(name string) (Fault, bool) {
 	switch name {
-	case Timeout{}.Name():
-		return Timeout{}, true
-	case Reset{}.Name():
-		return Reset{}, true
-	case HTTP500{}.Name():
-		return HTTP500{}, true
-	case Slow{}.Name():
-		return Slow{}, true
 	case BitFlip{}.Name():
 		return BitFlip{}, true
 	case Truncate{}.Name():
@@ -163,10 +124,6 @@ func FaultByName(name string) (Fault, bool) {
 // vocabulary, in documentation order.
 func FaultNames() []string {
 	return []string{
-		"timeout",
-		"reset",
-		"http500",
-		"slow",
 		"bitflip",
 		"truncate",
 		"enospc",

@@ -1,9 +1,9 @@
 // Package cpu provides the deterministic, cycle-approximate processor
 // model on which every experiment runs. It substitutes for the paper's
-// FPGA BOOM prototype and gem5 SMT model (DESIGN.md §2): all reported
-// numbers in the paper are relative overheads driven by branch
-// mispredictions and front-end redirects, which this model simulates
-// structurally:
+// FPGA BOOM prototype and gem5 SMT model (EXPERIMENTS.md, "Model
+// substitutions"): all reported numbers in the paper are relative
+// overheads driven by branch mispredictions and front-end redirects,
+// which this model simulates structurally:
 //
 //   - a fetch-width-limited front end where taken branches end the fetch
 //     group;

@@ -2,7 +2,6 @@ package driver
 
 import (
 	"fmt"
-	"net/http"
 	"os"
 
 	"xorbp/internal/chaos"
@@ -10,8 +9,7 @@ import (
 )
 
 // Chaos is the drivers' view of an active fault-injection plan: the
-// injector plus the ready-made seam adapters Connect and the store
-// wiring consume.
+// injector plus the ready-made seam adapter the store wiring consumes.
 type Chaos struct {
 	Inj *chaos.Injector
 }
@@ -34,15 +32,6 @@ func LoadChaos(prog, path string) *Chaos {
 	fmt.Fprintf(os.Stderr, "%s: chaos plan %s armed (seed %d, %d rules)\n",
 		prog, path, plan.Seed, len(plan.Rules))
 	return &Chaos{Inj: inj}
-}
-
-// Transport returns the fault-injecting HTTP transport for
-// ConnectOptions.Transport (nil when chaos is off).
-func (c *Chaos) Transport() http.RoundTripper {
-	if c == nil {
-		return nil
-	}
-	return chaos.NewTransport(c.Inj, nil)
 }
 
 // ArmStore attaches the cache write-path faults to the run cache

@@ -1,8 +1,8 @@
 // Package driver holds the CLI plumbing the sweep drivers (bpsim,
-// attacksim) share: strict shard parsing, execution-backend selection
-// over -serve-addrs, and the final -json summary record. One
-// implementation keeps the two binaries' flag semantics and wire
-// behavior from drifting apart.
+// attacksim) share: strict shard parsing, execution-topology selection
+// (the in-process pool or a -fleet pull-queue leader), and the final
+// -json summary record. One implementation keeps the two binaries' flag
+// semantics and wire behavior from drifting apart.
 package driver
 
 import (
@@ -23,20 +23,18 @@ type Summary struct {
 	Simulated uint64 `json:"simulated"`
 	Cached    int    `json:"cached"`
 	Skipped   int    `json:"skipped"`
-	// WorkerCached counts dispatched runs the remote fleet answered
+	// WorkerCached counts dispatched runs the pull fleet answered
 	// from its own stores (a subset of Simulated, which tallies
 	// dispatches — the driver cannot see inside the backend).
 	WorkerCached uint64 `json:"worker_cached,omitempty"`
 	// Resumed counts cells pre-resolved from the sweep journal
-	// (-resume); Degraded counts push-mode runs simulated in-process
-	// because every worker's circuit was open.
-	Resumed  int     `json:"resumed,omitempty"`
-	Degraded uint64  `json:"degraded,omitempty"`
-	WallMS   float64 `json:"wall_ms"`
-	Backend  string  `json:"backend"`          // "local", "remote" or "pull"
-	Policy   string  `json:"policy,omitempty"` // dispatch policy in force
-	Workers  int     `json:"workers"`
-	Shard    string  `json:"shard,omitempty"`
+	// (-resume).
+	Resumed int     `json:"resumed,omitempty"`
+	WallMS  float64 `json:"wall_ms"`
+	Backend string  `json:"backend"`          // "local" or "pull"
+	Policy  string  `json:"policy,omitempty"` // dispatch policy in force
+	Workers int     `json:"workers"`
+	Shard   string  `json:"shard,omitempty"`
 }
 
 // Summarize assembles the summary record from the executor's counters
@@ -56,7 +54,6 @@ func Summarize(exec *experiment.Executor, conn *Conn,
 	}
 	rec.WorkerCached = conn.WorkerCached()
 	rec.Resumed = exec.Primed()
-	rec.Degraded = conn.Degraded()
 	if shardN > 1 {
 		rec.Shard = fmt.Sprintf("%d/%d", shardI, shardN)
 	}
@@ -67,8 +64,9 @@ func Summarize(exec *experiment.Executor, conn *Conn,
 // 0/1). Malformed input exits 2 — a typo like "1/2/4" must be
 // rejected, not run as shard 1/2, because a mis-sharded process breaks
 // the fleet's partition. haveSink reports whether results have
-// somewhere to go (-cache or -serve-addrs); sharding without one would
-// discard every result, so that exits 1.
+// somewhere to go (-cache, or -fleet, whose workers cache on their
+// side); sharding without one would discard every result, so that
+// exits 1.
 func ParseShard(prog, s string, haveSink bool) (i, n int) {
 	if s == "" {
 		return 0, 1
@@ -82,8 +80,8 @@ func ParseShard(prog, s string, haveSink bool) (i, n int) {
 		os.Exit(2)
 	}
 	if !haveSink {
-		fmt.Fprintf(os.Stderr, "%s: -shard without -cache or -serve-addrs would discard every result; "+
-			"point the shards at a shared -cache (or at bpserve workers, which cache on their side)\n", prog)
+		fmt.Fprintf(os.Stderr, "%s: -shard without -cache or -fleet would discard every result; "+
+			"point the shards at a shared -cache (or run them as -fleet leaders: bpserve -pull workers cache on their side)\n", prog)
 		StopProfiles()
 		os.Exit(1)
 	}

@@ -1,11 +1,13 @@
 package driver
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
 
 	"xorbp/internal/experiment"
+	"xorbp/internal/fleet"
 )
 
 func TestParseShardUnsharded(t *testing.T) {
@@ -18,7 +20,7 @@ func TestParseShardUnsharded(t *testing.T) {
 func TestConnectLocal(t *testing.T) {
 	conn := Connect(ConnectOptions{Prog: "test", Workers: 7, WorkersSet: true})
 	defer conn.Close()
-	if conn.Backend != nil || conn.Client != nil {
+	if conn.Backend != nil {
 		t.Fatal("local connect returned a remote backend")
 	}
 	if conn.PoolSize != 7 || conn.Name != "local" {
@@ -64,5 +66,58 @@ func TestShardProgressReportsDeltas(t *testing.T) {
 		// A synthetic negative delta proves the subtraction happens; real
 		// executors only grow.
 		t.Fatalf("delta line = %q", line)
+	}
+}
+
+// TestConnectPullMatchesSerial: the -fleet topology end to end. Connect
+// starts a pull-queue leader, a worker claims from its address, and
+// Figure 1 rendered through the connection is byte-identical to the
+// serial render, because every simulation is a pure function of its
+// canonical spec.
+func TestConnectPullMatchesSerial(t *testing.T) {
+	scale := experiment.MicroScale()
+	if testing.Short() {
+		scale.WarmupInstr /= 4
+		scale.MeasureInstr /= 4
+		scale.SMTWarmupInstr /= 4
+		scale.SMTMeasureInstr /= 4
+		for i := range scale.TimerPeriods {
+			scale.TimerPeriods[i] /= 4
+		}
+	}
+	serial := experiment.NewSessionWith(scale, experiment.NewExecutor(1)).Figure1().Render()
+
+	addr, lease, none := "127.0.0.1:0", fleet.DefaultLease, ""
+	conn := Connect(ConnectOptions{Prog: "test",
+		Fleet: &FleetFlags{Fleet: &addr, Lease: &lease, TLSCert: &none, TLSKey: &none}})
+	defer conn.Close()
+	if conn.Backend == nil || conn.Name != "pull" || conn.Policy != "pull" ||
+		conn.PoolSize != defaultFleetPool || conn.Queue() == nil || conn.Addr == "" {
+		t.Fatalf("fleet connect = (%q, %q, pool %d, addr %q), want a pull leader",
+			conn.Name, conn.Policy, conn.PoolSize, conn.Addr)
+	}
+
+	w := fleet.NewPullWorker(conn.Addr, "w0", experiment.LocalBackend{}, nil, 0, 2)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- w.Run(ctx) }()
+
+	exec := experiment.NewExecutorWith(conn.PoolSize, conn.Backend)
+	pull := experiment.NewSessionWith(scale, exec).Figure1().Render()
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+	if serial != pull {
+		t.Fatalf("pull Figure 1 differs from serial:\n--- serial ---\n%s\n--- pull ---\n%s",
+			serial, pull)
+	}
+	if err := exec.Err(); err != nil {
+		t.Fatalf("pull executor poisoned: %v", err)
+	}
+	if w.Runs() == 0 || uint64(conn.Queue().Stats().Done) != w.Runs() {
+		t.Fatalf("worker simulated %d specs, queue completed %d — the fleet path was not exercised",
+			w.Runs(), conn.Queue().Stats().Done)
 	}
 }

@@ -1,18 +1,15 @@
 package driver
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
-	"strings"
 	"time"
 
 	"xorbp/internal/experiment"
 	"xorbp/internal/fleet"
-	"xorbp/internal/wire"
 )
 
 // defaultFleetPool is the executor fan-out width in pull mode when
@@ -30,79 +27,53 @@ type FleetFlags struct {
 	// Lease is the pull-queue claim lease: a worker silent this long
 	// forfeits its batch to the rest of the fleet.
 	Lease *time.Duration
-	// Route picks the push-mode routing policy over -serve-addrs.
-	Route *string
 	// TLSCert/TLSKey serve the -fleet leader endpoint over TLS.
 	TLSCert *string
 	TLSKey  *string
-	// TLSCA pins the worker fleet's certificate authority for
-	// -serve-addrs dispatch (switches the wire client to HTTPS).
-	TLSCA *string
-	// Degrade controls push-mode graceful degradation: when every
-	// worker's circuit breaker is open, fall back to in-process
-	// simulation instead of failing the sweep.
-	Degrade *bool
 }
 
 // AddFleetFlags registers the shared dispatch-topology flags on the
 // default flag set.
 func AddFleetFlags() *FleetFlags {
 	return &FleetFlags{
-		Fleet:   flag.String("fleet", "", "run as a pull-queue leader on this listen address; bpserve -pull workers claim the specs (mutually exclusive with -serve-addrs)"),
+		Fleet:   flag.String("fleet", "", "run as a pull-queue leader on this listen address; bpserve -pull workers claim the specs"),
 		Lease:   flag.Duration("fleet-lease", fleet.DefaultLease, "with -fleet: claim lease; a worker silent this long forfeits its batch"),
-		Route:   flag.String("route", "", "with -serve-addrs: routing policy ("+strings.Join(fleet.ScorerNames(), ", ")+"; default round-robin)"),
 		TLSCert: flag.String("tls-cert", "", "with -fleet: serve the leader endpoint over TLS with this certificate"),
 		TLSKey:  flag.String("tls-key", "", "with -fleet: private key for -tls-cert"),
-		TLSCA:   flag.String("tls-ca", "", "with -serve-addrs: PEM CA bundle to pin; dispatch switches to HTTPS"),
-		Degrade: flag.Bool("degrade", true, "with -serve-addrs: when every worker's circuit is open, simulate in-process instead of failing the sweep"),
 	}
 }
 
 // Conn is a connected execution topology: the backend the executor
 // should run over, how wide to fan out, and the bookkeeping the final
 // summary wants. Close releases whatever the topology started (the
-// leader listener, the statz poller).
+// leader listener).
 type Conn struct {
 	// Backend executes specs; nil selects the in-process pool.
 	Backend experiment.Backend
-	// Client is the push-mode wire client (nil in local and pull modes).
-	Client *wire.Client
 	// PoolSize is the executor fan-out width.
 	PoolSize int
-	// Name labels the topology in the summary record: "local",
-	// "remote", or "pull".
+	// Name labels the topology in the summary record: "local" or
+	// "pull".
 	Name string
-	// Policy is the dispatch policy in force ("" when local;
-	// "roundrobin" unless -route overrode it; "pull" for the queue).
+	// Policy is the dispatch policy in force ("" when local; "pull" for
+	// the queue).
 	Policy string
+	// Addr is the leader's listen address (host:port), the one workers
+	// are pointed at; "" when local.
+	Addr string
 
-	queue    *fleet.Queue
-	fb       *fleet.Backend
-	fallback *Fallback
-	hs       *http.Server
-	cancel   context.CancelFunc
-}
-
-// Degraded counts push-mode runs simulated in-process because every
-// worker's circuit was open (0 outside push mode or with -degrade=false).
-func (c *Conn) Degraded() uint64 {
-	if c.fallback == nil {
-		return 0
-	}
-	return c.fallback.Degraded()
+	queue *fleet.Queue
+	fb    *fleet.Backend
+	hs    *http.Server
 }
 
 // WorkerCached counts dispatched runs the fleet answered from
-// worker-side stores instead of simulating, whichever topology is in
-// force.
+// worker-side stores instead of simulating (0 when local).
 func (c *Conn) WorkerCached() uint64 {
-	switch {
-	case c.Client != nil:
-		return c.Client.Replays()
-	case c.fb != nil:
-		return c.fb.Replays()
+	if c.fb == nil {
+		return 0
 	}
-	return 0
+	return c.fb.Replays()
 }
 
 // Queue exposes the pull queue (nil outside pull mode) for end-of-run
@@ -111,9 +82,6 @@ func (c *Conn) Queue() *fleet.Queue { return c.queue }
 
 // Close stops whatever the topology started. Safe on every mode.
 func (c *Conn) Close() {
-	if c.cancel != nil {
-		c.cancel()
-	}
 	if c.hs != nil {
 		_ = c.hs.Close()
 	}
@@ -123,103 +91,35 @@ func (c *Conn) Close() {
 // caller registers no fleet surface.
 type ConnectOptions struct {
 	Prog       string
-	ServeAddrs string
 	Token      string
 	Workers    int
 	WorkersSet bool
 	Fleet      *FleetFlags
-	// Transport, when set, replaces the push-mode wire client's HTTP
-	// transport — the chaos layer's fault-injection seam (-chaos).
-	Transport http.RoundTripper
 }
 
-// Connect picks the execution topology: the in-process pool, a probed
-// push-mode wire.Client over -serve-addrs (optionally scorer-routed
-// and TLS-pinned), or a pull-queue leader on -fleet. Misconfiguration
-// exits — a sweep should fail fast, not at its first dispatched run.
+// Connect picks the execution topology: the in-process pool, or a
+// pull-queue leader on -fleet. Misconfiguration exits — a sweep should
+// fail fast, not at its first dispatched run.
 func Connect(opts ConnectOptions) *Conn {
 	var (
-		fleetAddr, route, tlsCert, tlsKey, tlsCA string
-		leaseDur                                 time.Duration
+		fleetAddr, tlsCert, tlsKey string
+		leaseDur                   time.Duration
 	)
 	if f := opts.Fleet; f != nil {
-		fleetAddr, route, leaseDur = *f.Fleet, *f.Route, *f.Lease
-		tlsCert, tlsKey, tlsCA = *f.TLSCert, *f.TLSKey, *f.TLSCA
+		fleetAddr, leaseDur = *f.Fleet, *f.Lease
+		tlsCert, tlsKey = *f.TLSCert, *f.TLSKey
 	}
 	switch {
-	case fleetAddr != "" && opts.ServeAddrs != "":
-		fatal(opts.Prog, 2, "-fleet (pull dispatch) and -serve-addrs (push dispatch) are mutually exclusive")
-	case route != "" && opts.ServeAddrs == "":
-		fatal(opts.Prog, 2, "-route orders -serve-addrs workers; it needs -serve-addrs")
 	case (tlsCert != "") != (tlsKey != ""):
 		fatal(opts.Prog, 2, "-tls-cert and -tls-key come as a pair")
 	case tlsCert != "" && fleetAddr == "":
 		fatal(opts.Prog, 2, "-tls-cert/-tls-key secure the -fleet leader endpoint; they need -fleet")
 	}
-	if fleetAddr != "" {
-		return connectFleet(opts.Prog, fleetAddr, opts.Token, leaseDur,
-			tlsCert, tlsKey, opts.Workers, opts.WorkersSet)
-	}
-	if opts.ServeAddrs == "" {
+	if fleetAddr == "" {
 		return &Conn{PoolSize: opts.Workers, Name: "local"}
 	}
-	return connectPush(opts, route, tlsCA)
-}
-
-// connectPush probes a -serve-addrs fleet and installs the routing
-// policy.
-func connectPush(opts ConnectOptions, route, tlsCA string) *Conn {
-	client := wire.NewClient(strings.Split(opts.ServeAddrs, ","))
-	client.SetToken(opts.Token)
-	if opts.Transport != nil {
-		if tlsCA != "" {
-			fatal(opts.Prog, 2, "-chaos and -tls-ca are mutually exclusive: the fault-injecting transport would bypass the pinned CA")
-		}
-		client.SetTransport(opts.Transport)
-	}
-	if tlsCA != "" {
-		pool, err := wire.LoadCertPool(tlsCA)
-		if err != nil {
-			fatal(opts.Prog, 1, "%v", err)
-		}
-		client.SetTLS(pool)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	err := client.Probe(ctx)
-	cancel()
-	if err != nil {
-		fatal(opts.Prog, 1, "probing workers: %v", err)
-	}
-	poolSize := opts.Workers
-	if !opts.WorkersSet {
-		poolSize = client.Workers()
-	}
-	conn := &Conn{Backend: client, Client: client, PoolSize: poolSize,
-		Name: "remote", Policy: "roundrobin"}
-	degrade := true
-	if opts.Fleet != nil && opts.Fleet.Degrade != nil {
-		degrade = *opts.Fleet.Degrade
-	}
-	if degrade {
-		conn.fallback = NewFallback(opts.Prog, client)
-		conn.Backend = conn.fallback
-	}
-	if route != "" {
-		scorer, ok := fleet.ScorerByName(route)
-		if !ok {
-			fatal(opts.Prog, 2, "unknown -route %q (want one of %s)",
-				route, strings.Join(fleet.ScorerNames(), ", "))
-		}
-		router := fleet.NewRouter(client, scorer)
-		router.Install()
-		conn.Policy = route
-		if _, needsStatz := scorer.(fleet.LeastLoaded); needsStatz {
-			pctx, stop := context.WithCancel(context.Background())
-			conn.cancel = stop
-			go router.Poll(pctx, 0)
-		}
-	}
-	return conn
+	return connectFleet(opts.Prog, fleetAddr, opts.Token, leaseDur,
+		tlsCert, tlsKey, opts.Workers, opts.WorkersSet)
 }
 
 // connectFleet starts a pull-queue leader and returns its submitting
@@ -258,7 +158,7 @@ func connectFleet(prog, addr, token string, leaseDur time.Duration,
 	}
 	fb := leader.Backend()
 	return &Conn{Backend: fb, PoolSize: poolSize, Name: "pull", Policy: "pull",
-		queue: q, fb: fb, hs: hs}
+		Addr: ln.Addr().String(), queue: q, fb: fb, hs: hs}
 }
 
 // fatal prints one driver-level configuration error and exits.

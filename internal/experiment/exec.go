@@ -72,8 +72,8 @@ func specKey(s runSpec) runKey {
 
 // Executor runs batches of simulations with a thread-safe memo cache,
 // dispatching every cache miss through a pluggable Backend: the
-// in-process bounded pool by default (LocalBackend), or a fleet of
-// bpserve daemons (wire.Client). One Executor can back several Sessions
+// in-process bounded pool by default (LocalBackend), or a pull-queue
+// leader (fleet.Backend). One Executor can back several Sessions
 // (the figures sharing baselines, Table 4's longer-window session) so a
 // spec simulated for one figure is never recomputed for another. An
 // optional persistent store (SetStore) acts as an L2 behind the memo
@@ -192,8 +192,8 @@ func NewExecutor(workers int) *Executor {
 
 // NewExecutorWith creates an executor dispatching through backend (nil
 // selects the in-process LocalBackend). workers bounds specs in flight;
-// for a remote backend, size it to the fleet's total capacity
-// (wire.Client.Workers).
+// for a pull-queue backend, keep enough outstanding that every claiming
+// worker finds a full batch.
 func NewExecutorWith(workers int, backend Backend) *Executor {
 	if workers <= 0 {
 		workers = runner.DefaultWorkers()

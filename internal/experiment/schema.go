@@ -11,7 +11,7 @@ import (
 )
 
 // SchemaVersion identifies the persistent run cache's encoding: the
-// wire schema's version. The engine, the bpserve daemon and every bpsim
+// wire schema's version. The engine, the bpserve worker and every bpsim
 // invocation sharing a cache directory agree on keys exactly when they
 // agree on this string.
 func SchemaVersion() string { return wire.SchemaVersion() }
@@ -154,7 +154,7 @@ func validPredictor(name string) bool {
 
 // Backend resolves one canonical spec to its result. The Executor
 // dispatches every cache miss through its backend, so swapping the
-// in-process pool for a remote worker fleet (wire.Client) changes
+// in-process pool for a pull-queue worker fleet (fleet.Backend) changes
 // where simulations run but nothing about what they compute: results
 // are pure functions of the spec under either backend.
 type Backend interface {
@@ -162,7 +162,7 @@ type Backend interface {
 }
 
 // LocalBackend executes specs in-process. It is the Executor's default
-// backend and the execution core of the bpserve work-server daemon.
+// backend and the execution core of the bpserve pull worker.
 type LocalBackend struct{}
 
 // Run decodes and simulates one spec.

@@ -3,8 +3,11 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"crypto/x509"
 	"encoding/json"
 	"fmt"
+	"io"
+	"log"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -19,10 +22,11 @@ import (
 	"xorbp/internal/experiment"
 	"xorbp/internal/runcache"
 	"xorbp/internal/wire"
+	"xorbp/internal/workload"
 )
 
-// simScale is MicroScale, shrunk a further 4x under -short, matching
-// the serve package's test scale so CI stays fast.
+// simScale is MicroScale, shrunk a further 4x under -short (ratios
+// preserved) so the race-enabled CI loop stays fast.
 func simScale() experiment.Scale {
 	s := experiment.MicroScale()
 	if testing.Short() {
@@ -730,5 +734,505 @@ func TestPullWorkersReuseConnections(t *testing.T) {
 	if n > 3*workers {
 		t.Fatalf("leader saw %d new connections for %d specs from %d workers, want at most %d",
 			n, specs, workers, 3*workers)
+	}
+}
+
+// TestLeaderTokenAuth: a leader started with a token refuses /healthz
+// and every /queue/* endpoint with 401, both without a token and with a
+// wrong one; a worker presenting a wrong token gets an error back from
+// Run after one request instead of retrying; and a worker presenting
+// the right token resolves a spec end to end.
+func TestLeaderTokenAuth(t *testing.T) {
+	q := NewQueue(0, time.Now)
+	handler := NewLeader(q, "hunter2").Handler()
+	var hits atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		handler.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	addr := strings.TrimPrefix(ts.URL, "http://")
+
+	endpoints := []struct{ method, path string }{
+		{http.MethodGet, "/healthz"},
+		{http.MethodPost, "/queue/claim"},
+		{http.MethodPost, "/queue/heartbeat"},
+		{http.MethodPost, "/queue/complete"},
+		{http.MethodPost, "/queue/nack"},
+	}
+	for _, auth := range []string{"", "Bearer hunter3"} {
+		for _, ep := range endpoints {
+			req, err := http.NewRequest(ep.method, ts.URL+ep.path, strings.NewReader(`{}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if auth != "" {
+				req.Header.Set("Authorization", auth)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusUnauthorized {
+				t.Errorf("%s %s with auth %q answered %s, want 401", ep.method, ep.path, auth, resp.Status)
+			}
+		}
+	}
+	if st := q.Stats(); st != (Stats{}) {
+		t.Fatalf("refused requests reached the queue: %+v", st)
+	}
+
+	// A wrong-token worker stops with an error; an instant sleeper means
+	// a retry loop would spin until the deadline and return nil.
+	wrong := NewPullWorker(addr, "impostor", experiment.LocalBackend{}, nil, 1, 1)
+	wrong.SetToken("hunter3")
+	wrong.SetSleep(func(ctx context.Context, _ time.Duration) error { return ctx.Err() })
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	before := hits.Load()
+	if err := wrong.Run(ctx); err == nil || !strings.Contains(err.Error(), "refused token") {
+		t.Fatalf("wrong-token worker returned %v, want the leader's refusal", err)
+	}
+	if n := hits.Load() - before; n != 1 {
+		t.Fatalf("wrong-token worker sent %d requests, want 1 (no retry)", n)
+	}
+
+	// The right token resolves a spec.
+	resc, errc := submitAsync(q, simSpec(0))
+	right := NewPullWorker(addr, "trusted", experiment.LocalBackend{}, nil, 1, 1)
+	right.SetToken("hunter2")
+	wctx, stop := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- right.Run(wctx) }()
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	got := <-resc
+	stop()
+	if err := <-done; err != nil {
+		t.Fatalf("right-token worker: %v", err)
+	}
+	if !bytes.Equal(got.Encode(), serialResult(t, simSpec(0)).Encode()) {
+		t.Fatal("right-token result differs from serial")
+	}
+	if right.Runs() != 1 {
+		t.Fatalf("right-token worker simulated %d specs, want 1", right.Runs())
+	}
+}
+
+// TestPullWorkerTLSPinning: a worker pinning the leader's CA resolves a
+// spec over HTTPS; a worker with an empty CA pool never claims anything
+// from the same leader — its claims fail at the handshake.
+func TestPullWorkerTLSPinning(t *testing.T) {
+	q := NewQueue(0, time.Now)
+	ts := httptest.NewUnstartedServer(NewLeader(q, "").Handler())
+	ts.Config.ErrorLog = log.New(io.Discard, "", 0) // the refused handshakes are expected
+	ts.StartTLS()
+	t.Cleanup(ts.Close)
+	addr := strings.TrimPrefix(ts.URL, "https://")
+	resc, errc := submitAsync(q, simSpec(0))
+	waitPending(t, q, 1)
+
+	// Three failed claims, then the sleeper ends the run.
+	untrusted := NewPullWorker(addr, "untrusted", experiment.LocalBackend{}, nil, 1, 1)
+	untrusted.SetTLS(x509.NewCertPool())
+	var retries int
+	untrusted.SetSleep(func(ctx context.Context, _ time.Duration) error {
+		if retries++; retries == 3 {
+			return context.Canceled
+		}
+		return nil
+	})
+	if err := untrusted.Run(context.Background()); err != nil {
+		t.Fatalf("untrusted worker: %v", err)
+	}
+	if untrusted.Claims() != 0 || q.Stats().Leased != 0 {
+		t.Fatalf("a worker without the leader's CA claimed work (%d claims)", untrusted.Claims())
+	}
+
+	pool := x509.NewCertPool()
+	pool.AddCert(ts.Certificate())
+	pinned := NewPullWorker(addr, "pinned", experiment.LocalBackend{}, nil, 1, 1)
+	pinned.SetTLS(pool)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- pinned.Run(ctx) }()
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	got := <-resc
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("pinned worker: %v", err)
+	}
+	if !bytes.Equal(got.Encode(), serialResult(t, simSpec(0)).Encode()) {
+		t.Fatal("result over TLS differs from serial")
+	}
+}
+
+// attackSpec is a small registered attack job.
+func attackSpec(name string) wire.Spec {
+	o := core.OptionsFor(core.NoisyXOR).Normalized()
+	spec := wire.Spec{
+		Kind:      wire.KindAttack,
+		Opts:      o,
+		Codec:     o.Codec.Name(),
+		Scrambler: o.Scrambler.Name(),
+		Attack: &wire.AttackSpec{
+			Name:     name,
+			Scenario: "single",
+			Trials:   200,
+			Seed:     5,
+		},
+	}
+	spec.Opts.Codec, spec.Opts.Scrambler = nil, nil
+	return spec
+}
+
+// TestPullWorkerRunsAttackJobs: pull workers execute attack-kind specs
+// with store write-through. The same job sent again — through a
+// restarted leader whose queue has no memory of it — is replayed from
+// the worker's store, and the leader counts the replay. A job naming
+// an unregistered attack makes the leader-side Run fail with the
+// worker's error (Queue.Fail end to end over HTTP).
+func TestPullWorkerRunsAttackJobs(t *testing.T) {
+	st, err := runcache.Open(t.TempDir(), wire.SchemaVersion())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// run starts a fresh leader and one store-backed worker, resolves
+	// spec through the leader, and stops both.
+	run := func(spec wire.Spec) (wire.Result, *PullWorker, *Backend, error) {
+		t.Helper()
+		leader := NewLeader(NewQueue(0, time.Now), "")
+		ts := httptest.NewServer(leader.Handler())
+		defer ts.Close()
+		w := NewPullWorker(strings.TrimPrefix(ts.URL, "http://"), "attacker",
+			experiment.LocalBackend{}, st, 1, 1)
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan error, 1)
+		go func() { done <- w.Run(ctx) }()
+		b := leader.Backend()
+		res, err := b.Run(context.Background(), spec)
+		cancel()
+		if werr := <-done; werr != nil {
+			t.Fatalf("worker: %v", werr)
+		}
+		return res, w, b, err
+	}
+
+	spec := attackSpec("btb_training")
+	res, w, _, err := run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Attack == nil || res.Attack.Trials != 200 {
+		t.Fatalf("attack result = %+v, want 200 counted trials", res.Attack)
+	}
+	if w.Runs() != 1 {
+		t.Fatalf("worker runs = %d, want 1", w.Runs())
+	}
+
+	res2, w2, b2, err := run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w2.Runs() != 0 || w2.Replays() != 1 || b2.Replays() != 1 {
+		t.Fatalf("second send was not a store replay (runs=%d, replays=%d, leader-counted=%d)",
+			w2.Runs(), w2.Replays(), b2.Replays())
+	}
+	if *res2.Attack != *res.Attack {
+		t.Fatalf("replayed outcome %+v differs from computed %+v", res2.Attack, res.Attack)
+	}
+
+	if _, _, _, err := run(attackSpec("rowhammer")); err == nil || !strings.Contains(err.Error(), `unknown attack "rowhammer"`) {
+		t.Fatalf("unregistered attack: leader-side Run returned %v, want the worker's unknown-attack error", err)
+	}
+}
+
+// TestPullWorkerRejectsInvalidSpec: a spec naming a codec no registry
+// knows is refused by the worker, not guessed at. The leader-side Run
+// fails with the worker's validation error, the spec is not handed to
+// another claim, and the worker stays in the fleet: the next valid spec
+// resolves on the same Run loop.
+func TestPullWorkerRejectsInvalidSpec(t *testing.T) {
+	q := NewQueue(0, time.Now)
+	leader := NewLeader(q, "")
+	ts := httptest.NewServer(leader.Handler())
+	t.Cleanup(ts.Close)
+	w := NewPullWorker(strings.TrimPrefix(ts.URL, "http://"), "validator",
+		experiment.LocalBackend{}, nil, 1, 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- w.Run(ctx) }()
+
+	bad := simSpec(0)
+	bad.Codec = "rot13"
+	b := leader.Backend()
+	if _, err := b.Run(context.Background(), bad); err == nil || !strings.Contains(err.Error(), `unknown codec "rot13"`) {
+		t.Fatalf("invalid spec: leader-side Run returned %v, want the worker's unknown-codec error", err)
+	}
+	got, err := b.Run(context.Background(), simSpec(1))
+	if err != nil {
+		t.Fatalf("valid spec after a rejected one: %v", err)
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+	if !bytes.Equal(got.Encode(), serialResult(t, simSpec(1)).Encode()) {
+		t.Fatal("valid spec's result differs from serial")
+	}
+	if w.Runs() != 1 || w.Claims() != 2 {
+		t.Fatalf("worker simulated %d specs over %d claims, want 1 over 2", w.Runs(), w.Claims())
+	}
+	if st := q.Stats(); st.Submitted != 2 || st.Done != 2 || st.Pending != 0 || st.Leased != 0 || st.Nacked != 0 {
+		t.Fatalf("queue after a rejected spec: %+v", st)
+	}
+}
+
+// TestPullWorkerSharedStore: cells a sweep wrote through a worker's
+// store are replayed, not re-simulated, when a later sweep asks for
+// them again — a fresh leader, executor and worker process over the
+// same store directory — and the replayed overhead is identical.
+func TestPullWorkerSharedStore(t *testing.T) {
+	dir := t.TempDir()
+	opts := core.OptionsFor(core.NoisyXOR)
+	pair := workload.SingleCorePairs()[0]
+	// sweep computes one overhead cell through a fresh leader and one
+	// fresh worker whose store is opened over dir.
+	sweep := func() (float64, *PullWorker, *Backend) {
+		t.Helper()
+		st, err := runcache.Open(dir, wire.SchemaVersion())
+		if err != nil {
+			t.Fatal(err)
+		}
+		leader := NewLeader(NewQueue(0, time.Now), "")
+		ts := httptest.NewServer(leader.Handler())
+		defer ts.Close()
+		w := NewPullWorker(strings.TrimPrefix(ts.URL, "http://"), "cacher",
+			experiment.LocalBackend{}, st, 0, 2)
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan error, 1)
+		go func() { done <- w.Run(ctx) }()
+		b := leader.Backend()
+		exec := experiment.NewExecutorWith(2, b)
+		v := experiment.NewSessionWith(simScale(), exec).SingleCoreOverhead(opts, pair, 50_000)
+		cancel()
+		if err := <-done; err != nil {
+			t.Fatalf("worker: %v", err)
+		}
+		if err := exec.Err(); err != nil {
+			t.Fatalf("executor poisoned: %v", err)
+		}
+		return v, w, b
+	}
+
+	first, w1, _ := sweep()
+	if w1.Runs() == 0 {
+		t.Fatal("no simulations reached the worker")
+	}
+	again, w2, b2 := sweep()
+	if again != first {
+		t.Fatalf("replayed overhead differs: %v vs %v", again, first)
+	}
+	if w2.Runs() != 0 {
+		t.Fatalf("second sweep re-simulated %d cached specs", w2.Runs())
+	}
+	if w2.Replays() != w1.Runs() || b2.Replays() != w2.Replays() {
+		t.Fatalf("second sweep replayed %d specs (leader counted %d), want the %d the first simulated",
+			w2.Replays(), b2.Replays(), w1.Runs())
+	}
+}
+
+// TestPullSingleFlight: concurrent identical requests through the
+// leader simulate the spec once across the whole fleet — the queue
+// holds one item per spec, so only one claim ever carries it — and
+// every requester gets the serial result's bytes.
+func TestPullSingleFlight(t *testing.T) {
+	q := NewQueue(0, time.Now)
+	leader := NewLeader(q, "")
+	ts := httptest.NewServer(leader.Handler())
+	t.Cleanup(ts.Close)
+	addr := strings.TrimPrefix(ts.URL, "http://")
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var wwg sync.WaitGroup
+	workers := make([]*PullWorker, 2)
+	for i := range workers {
+		w := NewPullWorker(addr, fmt.Sprintf("w%d", i), experiment.LocalBackend{}, nil, 0, 2)
+		workers[i] = w
+		wwg.Add(1)
+		go func() {
+			defer wwg.Done()
+			if err := w.Run(ctx); err != nil {
+				t.Errorf("worker: %v", err)
+			}
+		}()
+	}
+
+	const n = 4
+	b := leader.Backend()
+	// The deadline only bounds a queue that strands a duplicate.
+	rctx, rcancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer rcancel()
+	results := make([]wire.Result, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for g := 0; g < n; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[g], errs[g] = b.Run(rctx, simSpec(0))
+		}()
+	}
+	wg.Wait()
+	cancel()
+	wwg.Wait()
+
+	want := serialResult(t, simSpec(0))
+	for g := 0; g < n; g++ {
+		if errs[g] != nil {
+			t.Fatalf("request %d: %v", g, errs[g])
+		}
+		if !bytes.Equal(results[g].Encode(), want.Encode()) {
+			t.Fatalf("request %d: result differs from serial", g)
+		}
+	}
+	if runs := workers[0].Runs() + workers[1].Runs(); runs != 1 {
+		t.Fatalf("fleet simulated %d times for %d concurrent identical requests, want 1", runs, n)
+	}
+	if st := q.Stats(); st.Submitted != 1 || st.Done != 1 || st.Duplicates != 0 {
+		t.Fatalf("queue stats = %+v, want one item submitted and resolved", st)
+	}
+}
+
+// TestPullWorkerRefusesForeignSchemaBatch: a batch leased under another
+// schema generation (a leader that skipped the claim-time check) is
+// handed back whole and uncomputed, and the worker stops with an error
+// instead of producing results nobody can decode.
+func TestPullWorkerRefusesForeignSchemaBatch(t *testing.T) {
+	var (
+		mu     sync.Mutex
+		paths  []string
+		nacked NackRequest
+	)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		defer mu.Unlock()
+		paths = append(paths, r.URL.Path)
+		switch r.URL.Path {
+		case "/queue/claim":
+			if len(paths) > 1 {
+				// A worker that claims again did not stop; refuse it so
+				// the test fails instead of feeding it forever.
+				writeError(w, http.StatusConflict, "claimed again after a schema disagreement")
+				return
+			}
+			writeJSON(w, http.StatusOK, ClaimResponse{Schema: "xorbp-run/epoch0/ancient",
+				Lease: 7, Specs: []wire.Spec{simSpec(0), simSpec(1)}, LeaseMS: 60_000})
+		case "/queue/nack":
+			if err := json.NewDecoder(r.Body).Decode(&nacked); err != nil {
+				t.Errorf("decoding nack: %v", err)
+			}
+			writeJSON(w, http.StatusOK, OK{OK: true})
+		default:
+			writeError(w, http.StatusNotFound, "unexpected endpoint")
+		}
+	}))
+	t.Cleanup(ts.Close)
+
+	w := NewPullWorker(strings.TrimPrefix(ts.URL, "http://"), "w9", experiment.LocalBackend{}, nil, 2, 1)
+	w.SetSleep(func(ctx context.Context, _ time.Duration) error { return ctx.Err() })
+	err := w.Run(context.Background())
+	if err == nil || !strings.Contains(err.Error(), "ancient") || !strings.Contains(err.Error(), "rebuild one side") {
+		t.Fatalf("worker returned %v, want the schema disagreement", err)
+	}
+	if w.Runs() != 0 || w.Claims() != 0 {
+		t.Fatalf("worker computed under a foreign schema (%d runs, %d claims accepted)", w.Runs(), w.Claims())
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if got := strings.Join(paths, " "); got != "/queue/claim /queue/nack" {
+		t.Fatalf("worker requests = %q, want one claim and one nack", got)
+	}
+	if nacked.Lease != 7 || len(nacked.Keys) != 0 {
+		t.Fatalf("nack = %+v, want all of lease 7", nacked)
+	}
+}
+
+// TestPullDrainedWorkerClaimsNothing: a draining worker takes no new
+// work. Drained before its first poll, it returns without contacting
+// the leader; drained while idle on a held claim, it returns once that
+// claim ends. Work submitted afterwards stays pending for the rest of
+// the fleet, which still resolves it.
+func TestPullDrainedWorkerClaimsNothing(t *testing.T) {
+	q := NewQueue(0, time.Now)
+	handler := NewLeader(q, "").Handler()
+	var hits atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		handler.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	addr := strings.TrimPrefix(ts.URL, "http://")
+
+	early := NewPullWorker(addr, "early", experiment.LocalBackend{}, nil, 1, 1)
+	early.Drain()
+	// The deadline only bounds a worker that ignores the drain.
+	ectx, ecancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer ecancel()
+	if err := early.Run(ectx); err != nil {
+		t.Fatalf("worker drained before its first poll returned %v", err)
+	}
+	if n := hits.Load(); n != 0 {
+		t.Fatalf("worker drained before its first poll sent %d requests", n)
+	}
+
+	idle := NewPullWorker(addr, "idle", experiment.LocalBackend{}, nil, 1, 1)
+	done := make(chan error, 1)
+	go func() { done <- idle.Run(context.Background()) }()
+	deadline := time.Now().Add(5 * time.Second)
+	for hits.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("idle worker never polled the leader")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	idle.Drain()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("idle worker drained with %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("drained idle worker kept polling")
+	}
+
+	resc, errc := submitAsync(q, simSpec(0))
+	waitPending(t, q, 1)
+	if st := q.Stats(); st.Leased != 0 || idle.Claims() != 0 || early.Claims() != 0 {
+		t.Fatalf("a drained worker took work: queue %+v, claims %d and %d",
+			st, early.Claims(), idle.Claims())
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	successor := NewPullWorker(addr, "successor", experiment.LocalBackend{}, nil, 1, 1)
+	sDone := make(chan error, 1)
+	go func() { sDone <- successor.Run(ctx) }()
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	got := <-resc
+	cancel()
+	if err := <-sDone; err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Encode(), serialResult(t, simSpec(0)).Encode()) {
+		t.Fatal("successor's result differs from serial")
 	}
 }

@@ -90,9 +90,9 @@ const idleWait = 200 * time.Millisecond
 const maxQueueBody = 1 << 20
 
 // Leader serves a Queue over HTTP — the endpoint bpserve -pull workers
-// poll. It shares bpserve's trust model: an optional bearer token
-// (constant-time compared) authenticates peers, and the driver can
-// wrap the listener in TLS for untrusted networks.
+// poll. An optional bearer token (constant-time compared) authenticates
+// peers, and the driver can wrap the listener in TLS for untrusted
+// networks.
 type Leader struct {
 	q     *Queue
 	token string
@@ -132,8 +132,10 @@ func (l *Leader) Handler() http.Handler {
 	return mux
 }
 
-// handleHealth lets workers probe the leader before their first claim:
-// reachability, schema agreement, and the live queue depth.
+// handleHealth answers reachability checks from operators and scripts
+// (CI polls it before starting workers): the leader's schema and the
+// live lease count. Workers never call it; a claim carries its own
+// schema check.
 func (l *Leader) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if !l.authorized(r) {
 		writeError(w, http.StatusUnauthorized, "missing or wrong bearer token")
@@ -264,7 +266,7 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 }
 
 // Backend is the executor-facing half of the pull queue: a drop-in
-// experiment.Backend (beside LocalBackend and wire.Client) whose Run
+// experiment.Backend (beside LocalBackend) whose Run
 // enqueues the spec and blocks until some worker claims and resolves
 // it. Fan-out comes from the executor running many Runs concurrently;
 // scheduling comes from workers pulling at their own pace.
@@ -286,6 +288,5 @@ func (b *Backend) Run(ctx context.Context, spec wire.Spec) (wire.Result, error) 
 }
 
 // Replays counts dispatched runs the fleet answered from worker-side
-// stores instead of simulating (the pull-mode analog of
-// wire.Client.Replays).
+// stores instead of simulating.
 func (b *Backend) Replays() uint64 { return b.replays.Load() }

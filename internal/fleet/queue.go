@@ -1,30 +1,21 @@
-// Package fleet is the dispatch layer for heterogeneous worker fleets.
+// Package fleet is the pull-queue dispatch layer for heterogeneous
+// worker fleets.
 //
-// The static distribution the engine grew up with — `-shard I/N` hash
-// partitioning and round-robin `-serve-addrs` — assigns work blindly:
-// one slow node stalls the whole sweep, and a spec whose warm run-cache
-// entry lives on worker A is routinely sent to worker B. This package
-// inverts and scores that control flow, in two complementary modes:
+// Static `-shard I/N` hash partitioning assigns work blindly: one slow
+// node owns its slice no matter how long it takes, and the whole sweep
+// waits on it. The pull queue inverts that control flow: the driver
+// runs a Queue behind a Leader HTTP endpoint; bpserve workers in
+// `-pull` mode claim batches of specs under a lease, heartbeat while
+// simulating, and report results back. Pacing is implicit — a fast
+// worker simply claims more often. A lease that expires — dead worker,
+// partitioned worker, worker too slow to heartbeat — re-enqueues its
+// outstanding specs, so the rest of the fleet steals the stalled cells
+// instead of waiting on them.
 //
-//   - Pull (work-stealing): the driver runs a Queue behind a Leader
-//     HTTP endpoint; bpserve workers in `-pull` mode claim batches of
-//     specs under a lease, heartbeat while simulating, and report
-//     results back. A lease that expires — dead worker, partitioned
-//     worker, worker too slow to heartbeat — re-enqueues its
-//     outstanding specs, so the rest of the fleet steals the stalled
-//     cells instead of waiting on them.
-//
-//   - Push (scored routing): a Scorer orders the workers a wire.Client
-//     should try for each spec — round-robin (the old behavior),
-//     least-loaded on live /statz counters, probed-capacity-weighted,
-//     or run-cache affinity (rendezvous-hashed on the spec's wire key,
-//     so a spec deterministically lands where its cache entry lives).
-//
-// Neither mode changes what a sweep computes: results are pure
-// functions of their canonical specs, so every policy and topology
-// yields byte-identical merged tables (tested; STRATEGY_LEDGER.md
-// records the honest wall-clock comparison, including where the naive
-// policy wins).
+// Dispatch never changes what a sweep computes: results are pure
+// functions of their canonical specs, so serial, sharded and pull runs
+// yield byte-identical merged tables (tested; STRATEGY_LEDGER.md
+// records the wall-clock comparison).
 package fleet
 
 import (

@@ -34,10 +34,10 @@ type WorkerFaults interface {
 	DuplicateComplete() bool
 }
 
-// claimTimeout bounds one leader round-trip (claim, health probe): a
-// hung leader connection must surface as a retryable error, not wedge
-// the poll loop — a draining worker checks its flag between polls, so
-// an unbounded poll would also wedge drain.
+// claimTimeout bounds one claim round-trip: a hung leader connection
+// must surface as a retryable error, not wedge the poll loop — a
+// draining worker checks its flag between polls, so an unbounded poll
+// would also wedge drain.
 const claimTimeout = 10 * time.Second
 
 // PullWorker is the bpserve `-pull` loop: claim a batch from the

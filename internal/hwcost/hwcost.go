@@ -10,7 +10,8 @@
 // calibrated once against the paper's 2-way-256 BTB anchor (+0.94%
 // timing, +0.15% area). Ratios, not picoseconds, are the deliverable:
 // Table 5 reports percent increases, and the ratio of one XOR stage to an
-// SRAM access path is technology-stable to first order (DESIGN.md §2).
+// SRAM access path is technology-stable to first order (EXPERIMENTS.md,
+// "Model substitutions").
 package hwcost
 
 import (

@@ -10,9 +10,10 @@
 //     synthesis and the hardware random-number-generator model.
 //
 // All randomness in the simulator must flow from explicitly seeded sources
-// so that every experiment is exactly reproducible (see DESIGN.md §6).
-// math/rand is deliberately not used: its global state would make results
-// depend on test execution order.
+// so that every experiment is exactly reproducible (see "The
+// plan/execute engine" in EXPERIMENTS.md). math/rand is deliberately not
+// used: its global state would make results depend on test execution
+// order.
 package rng
 
 import (

@@ -2,10 +2,12 @@ package runcache
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -195,4 +197,51 @@ func dirSize(dir string) (int64, error) {
 		return n, fmt.Errorf("runcache: %w", err)
 	}
 	return n, nil
+}
+
+// StartGC runs GC over dir on a fixed interval, so a long-lived worker
+// bounds its own disk use instead of waiting for a manual
+// `bpsim -cache-gc`. The schemas list names the live encodings whose
+// subdirectories survive (superseded schema generations are removed
+// wholesale); opts carries the same age/size bounds the manual sweep
+// takes. Reports are written to log (one line per pass; nil discards
+// them). The returned stop function ends the loop; it does not
+// interrupt a pass already in flight.
+//
+// Collecting under a store another process has open is safe: GC never
+// removes a segment whose writer still holds its lock, and a vanished
+// entry only costs a future re-simulation.
+func StartGC(dir string, schemas []string, interval time.Duration, opts GCOptions, log io.Writer) (stop func()) {
+	if interval <= 0 || dir == "" {
+		return func() {}
+	}
+	done := make(chan struct{})
+	pass := func() {
+		rep, err := GC(dir, schemas, opts)
+		if log == nil {
+			return
+		}
+		if err != nil {
+			fmt.Fprintf(log, "cache-gc %s: %v\n", dir, err) //bpvet:allow best-effort GC telemetry to the worker log
+			return
+		}
+		fmt.Fprintf(log, "cache-gc %s: %s\n", dir, rep) //bpvet:allow best-effort GC telemetry to the worker log
+	}
+	go func() {
+		// One pass up front: a worker restarted more often than the
+		// interval must still shed superseded schema directories.
+		pass()
+		t := time.NewTicker(interval)
+		defer t.Stop()
+		for {
+			select {
+			case <-done:
+				return
+			case <-t.C:
+			}
+			pass()
+		}
+	}()
+	var once sync.Once
+	return func() { once.Do(func() { close(done) }) }
 }

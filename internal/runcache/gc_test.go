@@ -1,8 +1,10 @@
 package runcache
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -175,4 +177,44 @@ func TestGCKeepsForeignRootFiles(t *testing.T) {
 	if _, err := os.Stat(foreign); err != nil {
 		t.Fatalf("foreign root file was collected: %v", err)
 	}
+}
+
+// TestStartGC: the periodic sweep removes superseded schema directories
+// and stops when told to.
+func TestStartGC(t *testing.T) {
+	dir := t.TempDir()
+	stale, err := Open(dir, "xorbp-run/epoch0/fossil")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := stale.Put(strings.Repeat("ab", 32), []byte(`{"x":1}`)); err != nil {
+		t.Fatal(err)
+	}
+	live, err := Open(dir, "xorbp-run/epoch9/live")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := live.Put(strings.Repeat("cd", 32), []byte(`{"y":2}`)); err != nil {
+		t.Fatal(err)
+	}
+
+	var log bytes.Buffer
+	stop := StartGC(dir, []string{"xorbp-run/epoch9/live"}, 10*time.Millisecond,
+		GCOptions{}, &log)
+	defer stop()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if _, err := os.Stat(stale.Dir()); os.IsNotExist(err) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("stale schema dir still present after 5s; log:\n%s", log.String())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if _, err := os.Stat(live.Dir()); err != nil {
+		t.Fatalf("live schema dir was swept: %v", err)
+	}
+	stop()
+	stop() // idempotent
 }

@@ -1,18 +1,20 @@
 package secsweep_test
 
 import (
+	"context"
 	"fmt"
+	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"xorbp/internal/attack"
 	"xorbp/internal/experiment"
+	"xorbp/internal/fleet"
 	"xorbp/internal/runcache"
 	"xorbp/internal/secsweep"
-	"xorbp/internal/serve"
 	"xorbp/internal/wire"
-
-	"net/http/httptest"
 )
 
 // testConfig is a miniature sweep: structurally complete, seconds-fast.
@@ -57,27 +59,40 @@ func TestSerialEqualsParallel(t *testing.T) {
 	}
 }
 
-// TestDistributedMatchesSerial: the same sweep through a live bpserve
-// worker (full wire round-trip for every attack job) renders the same
-// bytes.
+// TestDistributedMatchesSerial: the same sweep through a loopback pull
+// fleet — a queue leader and two claiming workers, a full wire
+// round-trip for every attack job — renders the same bytes.
 func TestDistributedMatchesSerial(t *testing.T) {
 	serial := renderAll(t, experiment.NewExecutor(1))
 
-	srv := serve.New(4, nil)
-	ts := httptest.NewServer(srv.Handler())
+	leader := fleet.NewLeader(fleet.NewQueue(0, time.Now), "")
+	ts := httptest.NewServer(leader.Handler())
 	defer ts.Close()
-	client := wire.NewClient([]string{strings.TrimPrefix(ts.URL, "http://")})
-	if err := client.Probe(t.Context()); err != nil {
-		t.Fatal(err)
+	addr := strings.TrimPrefix(ts.URL, "http://")
+
+	ctx, cancel := context.WithCancel(t.Context())
+	var wg sync.WaitGroup
+	workers := make([]*fleet.PullWorker, 2)
+	for i := range workers {
+		w := fleet.NewPullWorker(addr, fmt.Sprintf("w%d", i), experiment.LocalBackend{}, nil, 0, 2)
+		workers[i] = w
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := w.Run(ctx); err != nil {
+				t.Errorf("worker: %v", err)
+			}
+		}()
 	}
-	exec := experiment.NewExecutorWith(client.Workers(), client)
-	remote := renderAll(t, exec)
+	remote := renderAll(t, experiment.NewExecutorWith(4, leader.Backend()))
+	cancel()
+	wg.Wait()
 	if serial != remote {
 		t.Fatalf("distributed sweep differs from serial:\n--- serial ---\n%s\n--- remote ---\n%s",
 			serial, remote)
 	}
-	if srv.Runs() == 0 {
-		t.Fatal("no attack jobs reached the worker")
+	if workers[0].Runs()+workers[1].Runs() == 0 {
+		t.Fatal("no attack jobs reached the workers")
 	}
 }
 

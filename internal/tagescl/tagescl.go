@@ -9,10 +9,11 @@
 // contents encoded with the domain's content key, indexes scrambled with
 // its index key, exactly as Figure 6(b) draws.
 //
-// Substitution note (DESIGN.md §2): the reference TAGE-SC-L derives its
-// backward-branch and IMLI components from branch *targets*, which the
-// direction-predictor interface does not carry; those components are
-// approximated by a taken-run-length (IMLI-like) history. This preserves
+// Substitution note (EXPERIMENTS.md, "Model substitutions"): the
+// reference TAGE-SC-L derives its backward-branch and IMLI components
+// from branch *targets*, which the direction-predictor interface does
+// not carry; those components are approximated by a taken-run-length
+// (IMLI-like) history. This preserves
 // the relevant property — TAGE_SC_L is the most accurate and therefore
 // pays the largest isolation cost (§6.3 observation 3).
 package tagescl

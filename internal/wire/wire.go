@@ -1,10 +1,10 @@
 // Package wire defines the versioned wire schema of the experiment
 // engine: the canonical, exported JSON forms of a simulation spec and
 // its result. It is the contract shared by every execution backend —
-// the in-process pool, the bpserve work-server protocol, and the
+// the in-process pool, the pull fleet's queue protocol, and the
 // persistent run cache, whose keys are derived from the canonical spec
 // encoding. One schema everywhere means a result computed by any
-// process (local worker, remote daemon, earlier invocation) is
+// process (local worker, pull worker, earlier invocation) is
 // interchangeable with every other.
 //
 // The encoding is deterministic by construction: fixed struct field
@@ -285,63 +285,23 @@ func DecodeResult(b []byte) (Result, error) {
 	return r, nil
 }
 
-// RunRequest is the body of POST /run on a bpserve worker.
-type RunRequest struct {
-	// Schema is the client's SchemaVersion; the worker rejects a
-	// mismatch with 409 rather than computing an incompatible result.
-	Schema string `json:"schema"`
-	Spec   Spec   `json:"spec"`
-}
-
-// RunResponse is the successful reply to POST /run.
-type RunResponse struct {
-	Schema string `json:"schema"`
-	Result Result `json:"result"`
-	// Cached reports that the worker served the result from its shared
-	// store instead of simulating.
-	Cached bool `json:"cached"`
-	// DurationMS is the worker-side simulation time (0 when Cached).
-	DurationMS float64 `json:"duration_ms"`
-}
-
-// Health is the body of GET /healthz on a bpserve worker.
+// Health is the body of GET /healthz on the pull leader.
 type Health struct {
-	// Status is "ok", or "draining" once shutdown has begun.
+	// Status is "ok".
 	Status string `json:"status"`
-	// Schema is the worker's SchemaVersion, checked by clients at probe
-	// time.
+	// Schema is the leader's SchemaVersion.
 	Schema string `json:"schema"`
-	// Capacity is the worker's concurrency limit; clients size their
-	// fan-out to the sum of their workers' capacities.
-	Capacity int    `json:"capacity"`
+	// Capacity and Replays are always 0: the leader simulates nothing
+	// itself.
+	Capacity int `json:"capacity"`
+	// Inflight counts specs leased to workers right now; Runs counts
+	// specs resolved so far.
 	Inflight int    `json:"inflight"`
 	Runs     uint64 `json:"runs"`
 	Replays  uint64 `json:"replays"`
 }
 
-// Statz is the body of GET /statz on a bpserve worker: the live load
-// and cache counters routing scorers decide on (internal/fleet). It is
-// telemetry, not schema — adding fields never invalidates caches.
-type Statz struct {
-	// Capacity is the worker's concurrency limit (as in Health).
-	Capacity int `json:"capacity"`
-	// Inflight counts simulations holding a slot right now.
-	Inflight int `json:"inflight"`
-	// Queued counts accepted requests waiting for a simulation slot —
-	// the backlog a least-loaded scorer steers around.
-	Queued int `json:"queued"`
-	// Runs and Replays mirror Health: simulations executed vs answered
-	// from the worker's store.
-	Runs    uint64 `json:"runs"`
-	Replays uint64 `json:"replays"`
-	// CacheHits/CacheMisses are the worker store's Get counters; an
-	// affinity router sending specs to the right worker drives the hit
-	// rate up.
-	CacheHits   uint64 `json:"cache_hits"`
-	CacheMisses uint64 `json:"cache_misses"`
-}
-
-// Error is the JSON error body returned by a worker for non-2xx
+// Error is the JSON error body the pull leader returns for non-2xx
 // statuses.
 type Error struct {
 	Error string `json:"error"`

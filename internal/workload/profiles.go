@@ -6,8 +6,8 @@ import "fmt"
 // parameters are synthetic stand-ins chosen from public characterisations
 // of each benchmark: control-flow footprint (regions/sites), branch
 // density (GapMean ≈ 1/ratio - 1), predictability mix, loop structure,
-// indirect-branch usage and syscall rate. See DESIGN.md §2 for the
-// substitution argument.
+// indirect-branch usage and syscall rate. See "Model substitutions" in
+// EXPERIMENTS.md for the substitution argument.
 //
 // The paper quotes several anchors these profiles are calibrated against
 // (cmd/diag prints the measured values): gcc has a 12.1% conditional

@@ -2,9 +2,9 @@
 // for the SPEC CPU 2006 benchmarks of the paper's evaluation (Table 3).
 //
 // No SPEC traces ship with this repository, so each benchmark is modelled
-// as a small structured program (DESIGN.md §2): a set of regions (loop
-// nests) whose branch sites exhibit the behaviours that differentiate
-// real predictors —
+// as a small structured program (EXPERIMENTS.md, "Model
+// substitutions"): a set of regions (loop nests) whose branch sites
+// exhibit the behaviours that differentiate real predictors —
 //
 //   - loop branches with stable trip counts (loop predictors win),
 //   - periodic per-branch patterns of varying period (local components
