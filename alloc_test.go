@@ -109,13 +109,4 @@ func TestSimulatorSteadyStateAllocs(t *testing.T) {
 			t.Fatalf("SMT inner loop allocates %.1f objects per 10k instructions", avg)
 		}
 	})
-	t.Run("reference-engine", func(t *testing.T) {
-		c := build(false)
-		c.SetEngine(cpu.EngineReference)
-		c.RunTargetInstructions(400_000)
-		avg := testing.AllocsPerRun(20, func() { c.RunTargetInstructions(10_000) })
-		if avg != 0 {
-			t.Fatalf("reference stepper allocates %.1f objects per 10k instructions", avg)
-		}
-	})
 }

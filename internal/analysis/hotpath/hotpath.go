@@ -2,7 +2,7 @@
 // AllocsPerRun runtime guards into compile-time facts.
 //
 // A function marked //bpvet:hotpath is a simulation inner-loop: the cpu
-// engines, the predictors' predict/update paths, the event ring, the
+// loops, the predictors' predict/update paths, the event ring, the
 // key-rotation guards. Inside it (and inside every same-package
 // function it statically reaches) the analyzer bans the constructs that
 // heap-allocate or would wreck the PR 5 inline budgets:

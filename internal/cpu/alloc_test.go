@@ -11,47 +11,53 @@ import (
 // These guards are the runtime counterpart of the bpvet hotpath
 // analyzer: every function marked //bpvet:hotpath must be alloc-free in
 // steady state, and these tests measure that the annotated closures of
-// functions — both simulation engines and each predictor's
+// functions — both production loops and each predictor's
 // predict/update path — actually allocate nothing once the per-thread
 // lazy state (//bpvet:coldinit) has been touched. A regression here
 // means an annotation lies or an inline budget broke; fix the code (or
 // the annotation), not the test.
 
-// warmCore builds the Figure-1 cell (FPGA core, time-shared pair) for
-// one predictor and engine and runs it past all cold-start allocation:
-// generator buffers, event rings, lazy per-thread predictor state.
-func warmCore(t testing.TB, pred string, e Engine) *Core {
-	t.Helper()
+// warmRun builds one predictor's cell on one production loop, runs it
+// past all cold-start allocation — generator buffers, event rings, lazy
+// per-thread predictor state — and returns its 20k-instruction chunk.
+// The one-context cell is Figure 1's (FPGA core, gcc and calculix
+// time-sharing one context), which runs fastRun1; the SMT cell puts the
+// same pair on a gem5 SMT-2 core, which runs the stepper.
+func warmRun(pred string, smt bool) func() {
 	ctrl := core.NewController(core.OptionsFor(core.NoisyXOR), 7)
-	dir := newPred(pred, ctrl)
-	c := New(FPGAConfig(), DefaultScheduler(1_000_000), ctrl, dir)
-	c.SetEngine(e)
+	cfg := FPGAConfig()
+	if smt {
+		cfg = Gem5Config(2)
+	}
+	c := New(cfg, DefaultScheduler(1_000_000), ctrl, newPred(pred, ctrl))
 	c.Assign(
 		workload.NewGenerator(workload.MustByName("gcc"), 2000),
 		workload.NewGenerator(workload.MustByName("calculix"), 2001),
 	)
+	run := func() { c.RunTargetInstructions(20_000) }
+	if smt {
+		run = func() { c.RunTotalInstructions(20_000) }
+	}
 	c.RunTargetInstructions(200_000)
-	return c
+	return run
 }
 
 // TestEnginesSteadyStateAllocFree pins zero allocations per simulated
-// chunk for both engines across every predictor the experiments build.
+// chunk on both production loops across every predictor the
+// experiments build: <pred>/fast is fastRun1 on the one-context cell,
+// <pred>/reference the stepper on the SMT-2 cell.
 func TestEnginesSteadyStateAllocFree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc guards need full warmup")
 	}
 	for _, pred := range allPredictors {
-		for _, e := range []Engine{EngineReference, EngineFast} {
-			name := pred + "/reference"
-			if e == EngineFast {
-				name = pred + "/fast"
+		for _, smt := range []bool{false, true} {
+			name := pred + "/fast"
+			if smt {
+				name = pred + "/reference"
 			}
 			t.Run(name, func(t *testing.T) {
-				c := warmCore(t, pred, e)
-				avg := testing.AllocsPerRun(10, func() {
-					c.RunTargetInstructions(20_000)
-				})
-				if avg != 0 {
+				if avg := testing.AllocsPerRun(10, warmRun(pred, smt)); avg != 0 {
 					t.Errorf("steady-state run allocates %.1f objects per 20k-instruction chunk, want 0", avg)
 				}
 			})
@@ -60,7 +66,7 @@ func TestEnginesSteadyStateAllocFree(t *testing.T) {
 }
 
 // TestPredictorPathsAllocFree exercises each predictor's fused
-// PredictUpdate directly (the call the engines dispatch per conditional
+// PredictUpdate directly (the call both loops dispatch per conditional
 // branch), bypassing the core, so an allocation is attributable to the
 // predictor itself rather than the fetch loop around it.
 func TestPredictorPathsAllocFree(t *testing.T) {

@@ -12,8 +12,9 @@
 //     (the prototype "simply reverts to fall-through prediction when the
 //     target is unavailable" — §6.2.1, the mechanism behind case2's
 //     negative overhead);
-//   - SMT fetch arbitration: each cycle one ready hardware thread fetches
-//     a full group, round-robin, so a stalled thread donates bandwidth;
+//   - SMT fetch arbitration: each cycle the next hardware thread in
+//     strict round-robin order fetches a full group, and a stalled thread
+//     burns its slot rather than donating it;
 //   - an OS model: timer interrupts (context switches between software
 //     threads sharing a hardware context) and per-benchmark syscalls,
 //     both of which execute a synthetic kernel handler at kernel
@@ -206,18 +207,17 @@ type Core struct {
 	btb   *btb.BTB
 	ras   *btb.RAS
 
-	hw     []*hwContext
-	cycle  uint64
-	rr     int // SMT fetch round-robin pointer
-	krng   *rng.Xoshiro256
-	engine Engine
+	hw    []*hwContext
+	cycle uint64
+	rr    int // SMT fetch round-robin pointer
+	krng  *rng.Xoshiro256
 
 	// Periodic re-keying (STBPU-style asynchronous key refresh): every
 	// rekeyPeriod cycles the controller rotates every key domain. The
 	// event is taken at fetch-group entry — the first group whose cycle
-	// reaches nextRekey fires it — so both engines observe it at the
-	// same architectural point (table lookups only happen inside fetch
-	// groups). Zero disables.
+	// reaches nextRekey fires it — so fastRun1 and the stepper observe it
+	// at the same architectural point (table lookups only happen inside
+	// fetch groups). Zero disables.
 	rekeyPeriod uint64
 	nextRekey   uint64
 
@@ -338,6 +338,9 @@ func (c *Core) ResetStats() {
 // core bandwidth rather than being silently absorbed by its siblings.
 // Returns the number of user instructions retired this cycle.
 //
+// step is the loop SMT cores run, one call per simulated cycle, and the
+// oracle the tests hold fastRun1 against on one-context cores.
+//
 //bpvet:hotpath
 func (c *Core) step() uint64 {
 	c.cycle++
@@ -360,9 +363,9 @@ func (c *Core) step() uint64 {
 //bpvet:hotpath
 func (c *Core) fetchGroup(hc *hwContext) uint64 {
 	// Periodic re-key, taken at any fetch-group entry (kernel or user):
-	// the hardware key-refresh timer does not care about privilege. The
-	// fast engine clamps its gap skips to nextRekey so this entry is
-	// never jumped over.
+	// the hardware key-refresh timer does not care about privilege.
+	// fastRun1 clamps its gap skips to nextRekey so this entry is never
+	// jumped over.
 	if c.rekeyPeriod != 0 && c.cycle >= c.nextRekey {
 		c.nextRekey += c.rekeyPeriod
 		c.ctrl.PeriodicRekey()
@@ -593,15 +596,12 @@ func (c *Core) RunTargetInstructionsUntil(n, cycleLimit uint64) (uint64, bool) {
 	start := c.cycle
 	target := c.hw[0].sw[0]
 	goal := target.stats.Instructions + n
-	switch {
-	case c.engine == EngineReference:
+	if len(c.hw) == 1 {
+		c.fastRun1(true, goal, cycleLimit)
+	} else {
 		for target.stats.Instructions < goal && c.cycle < cycleLimit {
 			c.step()
 		}
-	case len(c.hw) == 1:
-		c.fastRun1(true, goal, cycleLimit)
-	default:
-		c.fastRunN(true, goal, cycleLimit)
 	}
 	return c.cycle - start, target.stats.Instructions >= goal
 }
@@ -625,15 +625,12 @@ func (c *Core) RunTotalInstructions(n uint64) uint64 {
 func (c *Core) RunTotalInstructionsUntil(n, cycleLimit uint64) (uint64, bool) {
 	start := c.cycle
 	var done uint64
-	switch {
-	case c.engine == EngineReference:
+	if len(c.hw) == 1 {
+		done = c.fastRun1(false, n, cycleLimit)
+	} else {
 		for done < n && c.cycle < cycleLimit {
 			done += c.step()
 		}
-	case len(c.hw) == 1:
-		done = c.fastRun1(false, n, cycleLimit)
-	default:
-		done = c.fastRunN(false, n, cycleLimit)
 	}
 	return c.cycle - start, done >= n
 }

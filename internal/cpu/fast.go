@@ -1,14 +1,16 @@
 package cpu
 
-// This file is the event-batched fast engine: the production execution
-// strategy behind RunTargetInstructions / RunTotalInstructions.
+// This file is the one-context loop behind RunTargetInstructions /
+// RunTotalInstructions on a core with a single hardware context (the
+// FPGA shape of Figures 1 and 7-9). SMT cores run the stepper (step, in
+// cpu.go), one call per simulated cycle: measured against it, skipping
+// whole round-robin rounds did not pay for itself (EXPERIMENTS.md, "Why
+// SMT has no fast-forward loop").
 //
-// The reference stepper (step, in cpu.go) advances exactly one cycle per
-// call, which burns a function call — and an interface-dispatched event
-// pull — on every stall cycle and every whole-gap fetch group. The fast
-// engine produces the same architecture-visible trajectory while
-// advancing time arithmetically through the windows where nothing can
-// happen:
+// The stepper burns a function call on every stall cycle and every
+// whole-gap fetch group. fastRun1 produces the same architecture-visible
+// trajectory while advancing time arithmetically through the windows
+// where nothing can happen:
 //
 //   - Stall windows (misprediction penalties, Precise-Flush walks): no
 //     fetch occurs until stallUntil, so the cycle counter jumps there
@@ -21,47 +23,24 @@ package cpu
 // Every skip is clamped so scheduling semantics are unchanged:
 //
 //   - to the next timer interrupt (checked at every user-mode fetch-group
-//     boundary in the reference engine),
-//   - to the next periodic re-key (checked at every fetch-group entry in
-//     the reference engine),
-//   - to SMT arbitration boundaries — multi-context cores skip whole
-//     round-robin rounds while every context's own slots are provably
-//     burns or whole-gap groups, and otherwise apply the classification
-//     slot-by-slot within one round (per-slot lookahead): stalled and
-//     whole-gap slots advance arithmetically, only genuinely interesting
-//     slots enter the fetch-group path,
+//     boundary by the stepper),
+//   - to the next periodic re-key (checked at every fetch-group entry by
+//     the stepper),
 //   - to the caller's cycle limit (the snapshot/fork stop point), landing
 //     exactly on the requested cycle,
 //   - to the instruction goal, stopping short of the crossing group so
-//     the loop terminates on exactly the reference cycle.
+//     the loop terminates on exactly the stepper's cycle.
 //
-// The equivalence suite (equiv_test.go) asserts byte-identical
-// ThreadStats, cycle counts and controller statistics against the
-// reference stepper across every mechanism x predictor x SMT
-// arrangement.
-
-// Engine selects the core's execution strategy.
-type Engine int
-
-const (
-	// EngineFast is the default production engine described above.
-	EngineFast Engine = iota
-	// EngineReference is the naive one-call-per-cycle stepper kept as
-	// the oracle the fast engine is verified against.
-	EngineReference
-)
-
-// SetEngine selects the execution engine (EngineFast by default).
-func (c *Core) SetEngine(e Engine) { c.engine = e }
-
-// EngineInUse reports the selected execution engine.
-func (c *Core) EngineInUse() Engine { return c.engine }
+// The equivalence tests (equiv_test.go, fastforward_test.go,
+// rekey_test.go) hold fastRun1 byte-identical to the stepper — cycle
+// counts, ThreadStats and controller statistics — across every
+// mechanism and predictor.
 
 // fastRun1 is the devirtualized single-hardware-context loop: no
 // round-robin arbitration (the modulo and the per-cycle context lookup
 // of step() disappear), stall windows and whole-gap groups fast-forward
 // arithmetically, and the remaining "interesting" cycles run one
-// reference-identical fetch group each.
+// stepper-identical fetch group each.
 //
 // targetOnly selects the termination rule: true stops when hardware
 // context 0's software thread 0 has retired `limit` total instructions
@@ -90,9 +69,9 @@ func (c *Core) fastRun1(targetOnly bool, limit, cycLimit uint64) uint64 {
 			return done
 		}
 
-		// Stall fast-forward: the reference engine burns one step per
-		// stalled cycle with no state change beyond the cycle counter and
-		// the scheduled thread's attribution; jump to the cycle fetch
+		// Stall fast-forward: the stepper burns one step per stalled
+		// cycle with no state change beyond the cycle counter and the
+		// scheduled thread's attribution; jump to the cycle fetch
 		// resumes on. Timer interrupts and re-keys cannot fire mid-stall
 		// (they are taken at fetch-group boundaries only), so only the
 		// cycle limit clamps the jump.
@@ -111,9 +90,9 @@ func (c *Core) fastRun1(targetOnly bool, limit, cycLimit uint64) uint64 {
 		// instructions retire and nothing else happens. Clamped to the
 		// timer (due interrupts preempt the group in user mode), to the
 		// next re-key (each skipped cycle is a fetch-group entry in the
-		// reference engine, where the re-key check lives), to the cycle
-		// limit, and to the instruction goal (the crossing group must
-		// execute normally so the run ends on the reference cycle).
+		// stepper, where the re-key check lives), to the cycle limit, and
+		// to the instruction goal (the crossing group must execute
+		// normally so the run ends on the stepper's cycle).
 		if hc.kernelLeft > 0 || c.cycle+1 < hc.nextTimer {
 			t := hc.active()
 			if !t.evLoaded {
@@ -161,195 +140,12 @@ func (c *Core) fastRun1(targetOnly bool, limit, cycLimit uint64) uint64 {
 			}
 		}
 
-		// One reference step, inlined for the single context.
+		// One step, inlined for the single context.
 		c.cycle++
 		hc.sw[hc.cur].activeCycles++
 		if hc.stallUntil > c.cycle {
 			continue
 		}
 		done += c.fetchGroup(hc)
-	}
-}
-
-// fastRunN is the SMT loop. Slots are processed in the reference
-// round-robin order; whenever every context's upcoming own-slots are
-// arbitration-neutral — burned by a stall or consumed by whole-gap fetch
-// groups — whole rounds are skipped at once. A round is len(hw) cycles
-// with the round-robin pointer back where it started, so skipping whole
-// rounds cannot change which context fetches on which cycle. When the
-// whole-round skip does not apply (some context's next own-slot is
-// interesting), the classification is consumed slot-by-slot over one
-// round instead of being discarded: stalled and whole-gap slots advance
-// arithmetically and only the interesting slots enter fetchGroup — the
-// per-slot lookahead. One classification pass per round amortizes to
-// constant overhead per slot, so no cool-off rate limiting is needed.
-// Returns the user instructions retired since the call.
-//
-//bpvet:hotpath
-func (c *Core) fastRunN(targetOnly bool, limit, cycLimit uint64) uint64 {
-	nhw := uint64(len(c.hw))
-	fw := uint64(c.cfg.FetchWidth)
-	target := c.hw[0].sw[0]
-	var done uint64
-	for {
-		if targetOnly {
-			if target.stats.Instructions >= limit {
-				return done
-			}
-		} else if done >= limit {
-			return done
-		}
-		if c.cycle >= cycLimit {
-			return done
-		}
-
-		// Classify each context's next own-slot window, head context
-		// first: context at round-robin offset o fetches on cycles
-		// first+o, first+o+nhw, ... A context's window is the number of
-		// consecutive own-slots that are provably uniform (all stall
-		// burns, or all whole-gap groups); the skippable round count is
-		// the minimum over contexts. The full mask is always computed:
-		// even when some context contributes zero rounds, the per-slot
-		// pass below consumes the other contexts' classifications.
-		rounds := ^uint64(0)
-		var gapping uint64 // bitmask over offsets of gap-consuming contexts
-		perRoundDone := uint64(0)
-		perRoundTarget := uint64(0)
-		for o := uint64(0); o < nhw; o++ {
-			hc := c.hw[(uint64(c.rr)+o)%nhw]
-			first := c.cycle + 1 + o
-			var n uint64
-			switch {
-			case hc.stallUntil > first:
-				// Burned slots: all own-slots strictly before stallUntil.
-				n = (hc.stallUntil - first + nhw - 1) / nhw
-			case hc.kernelLeft == 0 && first >= hc.nextTimer:
-				// Next slot takes the timer interrupt: interesting.
-			default:
-				t := hc.active()
-				if !t.evLoaded {
-					t.load()
-				}
-				if uint64(t.gapLeft) >= fw {
-					n = uint64(t.gapLeft) / fw
-					if hc.kernelLeft == 0 {
-						// Slots at cycles <= nextTimer-1 fetch; later ones
-						// would take the interrupt instead.
-						if lim := (hc.nextTimer-1-first)/nhw + 1; n > lim {
-							n = lim
-						}
-					}
-					if n > 0 {
-						gapping |= 1 << o
-						if !t.kernel {
-							perRoundDone += fw
-							if t == target {
-								perRoundTarget = fw
-							}
-						}
-					}
-				}
-			}
-			if n < rounds {
-				rounds = n
-			}
-		}
-
-		// Re-key clamp: skipped gap slots are fetch-group entries in the
-		// reference engine, where the re-key check lives; a pending
-		// re-key must be reached at reference granularity.
-		if rounds > 0 && c.rekeyPeriod != 0 {
-			if c.nextRekey <= c.cycle+1 {
-				rounds = 0
-			} else if lim := (c.nextRekey - 1 - c.cycle) / nhw; rounds > lim {
-				rounds = lim
-			}
-		}
-		// Cycle-limit clamp: land exactly on the requested stop cycle.
-		if rounds > 0 {
-			if lim := (cycLimit - c.cycle) / nhw; rounds > lim {
-				rounds = lim
-			}
-		}
-
-		// Goal clamp: stop short of the crossing round so the final,
-		// crossing slot executes at reference granularity.
-		if rounds > 0 {
-			if targetOnly {
-				if perRoundTarget > 0 {
-					if maxR := (limit - target.stats.Instructions - 1) / perRoundTarget; rounds > maxR {
-						rounds = maxR
-					}
-				}
-			} else if perRoundDone > 0 {
-				if maxR := (limit - done - 1) / perRoundDone; rounds > maxR {
-					rounds = maxR
-				}
-			}
-		}
-
-		// Bulk path: apply whole rounds at once when the skip pays for
-		// its own bookkeeping; a one-round skip costs about as much as
-		// the per-slot pass below, which handles it instead.
-		if rounds >= 2 {
-			for o := uint64(0); o < nhw; o++ {
-				if gapping&(1<<o) == 0 {
-					continue
-				}
-				t := c.hw[(uint64(c.rr)+o)%nhw].active()
-				inst := rounds * fw
-				t.gapLeft -= int(inst)
-				t.stats.Instructions += inst
-				if !t.kernel {
-					done += inst
-				}
-			}
-			c.cycle += rounds * nhw
-			continue
-		}
-
-		// Per-slot lookahead over one round: context at offset o fetches
-		// at exactly the cycle its classification examined, and earlier
-		// slots in the round belong to other contexts, whose fetch groups
-		// cannot alter this context's scheduling state or event stream —
-		// so a gapping bit is still valid when its slot arrives. A
-		// classified whole-gap slot applies arithmetically (exactly what
-		// fetchGroup would do: FetchWidth gap instructions retire, nothing
-		// else) unless a re-key is due at that cycle, which must go
-		// through fetchGroup where the re-key check lives. Stalled slots
-		// burn as in step(); everything else runs the reference group.
-		for o := uint64(0); o < nhw; o++ {
-			if targetOnly {
-				if target.stats.Instructions >= limit {
-					return done
-				}
-			} else if done >= limit {
-				return done
-			}
-			if c.cycle >= cycLimit {
-				return done
-			}
-			c.cycle++
-			hc := c.hw[c.rr]
-			c.rr++
-			if c.rr == int(nhw) {
-				c.rr = 0
-			}
-			if hc.stallUntil > c.cycle {
-				continue
-			}
-			if gapping&(1<<o) != 0 && (c.rekeyPeriod == 0 || c.cycle < c.nextRekey) {
-				t := hc.active()
-				if t.evLoaded && uint64(t.gapLeft) >= fw {
-					t.gapLeft -= int(fw)
-					t.stats.Instructions += fw
-					if !t.kernel {
-						done += fw
-					}
-					continue
-				}
-			}
-			done += c.fetchGroup(hc)
-		}
 	}
 }

@@ -13,8 +13,8 @@ import (
 
 // Targeted fast-forward edge cases: scripted event streams place timer
 // interrupts, stall expiries and goal crossings exactly on the
-// boundaries the skip arithmetic clamps to, and each case asserts the
-// fast engine lands on the reference cycle.
+// boundaries fastRun1's skip arithmetic clamps to, and each case asserts
+// fastRun1 lands on the stepper's cycle.
 
 // scripted is a minimal looping Program. It deliberately does NOT
 // implement workload.BatchProgram, so these tests also exercise the
@@ -34,29 +34,35 @@ func (s *scripted) Next(ev *workload.BranchEvent) {
 
 // buildScripted wires a single-context FPGA core around fresh copies of
 // the scripted programs.
-func buildScripted(m core.Mechanism, timer uint64, e Engine, progs ...workload.Program) *Core {
+func buildScripted(m core.Mechanism, timer uint64, progs ...workload.Program) *Core {
 	ctrl := core.NewController(core.OptionsFor(m), 7)
 	dir := tage.New(tage.FPGAConfig(), ctrl)
 	c := New(FPGAConfig(), DefaultScheduler(timer), ctrl, dir)
-	c.SetEngine(e)
 	c.Assign(progs...)
 	return c
 }
 
-// compareEngines runs the same scenario under both engines and asserts
-// identical snapshots; build must construct a fresh, identical core per
-// call.
-func compareEngines(t *testing.T, build func(Engine) *Core, run func(*Core) uint64) (snapshot, snapshot) {
+// compareLoops runs the same scenario on fastRun1, through the exported
+// run methods, and on the stepper, and asserts identical snapshots.
+// build must construct a fresh, identical one-context core per call;
+// total selects RunTotalInstructions over RunTargetInstructions.
+func compareLoops(t *testing.T, build func() *Core, total bool, n uint64) snapshot {
 	t.Helper()
-	cr := build(EngineReference)
-	er := run(cr)
-	cf := build(EngineFast)
-	ef := run(cf)
-	sr, sf := capture(cr, er), capture(cf, ef)
-	if !reflect.DeepEqual(sr, sf) {
-		t.Fatalf("fast engine diverged from reference:\nref:  %+v\nfast: %+v", sr, sf)
+	fast, step := build(), build()
+	if len(fast.hw) != 1 {
+		t.Fatal("compareLoops needs a one-context core: SMT cores run the stepper in production")
 	}
-	return sr, sf
+	var ef, es uint64
+	if total {
+		ef, es = fast.RunTotalInstructions(n), stepTotal(step, n)
+	} else {
+		ef, es = fast.RunTargetInstructions(n), stepTarget(step, n)
+	}
+	sf, ss := capture(fast, ef), capture(step, es)
+	if !reflect.DeepEqual(ss, sf) {
+		t.Fatalf("fastRun1 diverged from the stepper:\nstepper: %+v\nfast:    %+v", ss, sf)
+	}
+	return ss
 }
 
 // TestTimerLandsMidGap forces timer interrupts to land inside long
@@ -70,11 +76,10 @@ func TestTimerLandsMidGap(t *testing.T) {
 			{PC: 0x1100, Target: 0x1100 + 16, Class: predictor.CondDirect, Taken: false, Gap: gap / 3},
 		}}
 	}
-	build := func(e Engine) *Core {
-		return buildScripted(core.NoisyXOR, 3001, e,
-			mkProg("gappy", 60000), mkProg("gappy2", 17))
+	build := func() *Core {
+		return buildScripted(core.NoisyXOR, 3001, mkProg("gappy", 60000), mkProg("gappy2", 17))
 	}
-	compareEngines(t, build, func(c *Core) uint64 { return c.RunTargetInstructions(400_000) })
+	compareLoops(t, build, false, 400_000)
 }
 
 // TestStallExpiryOnSkippedToCycle drives a mispredict-heavy stream so
@@ -89,19 +94,18 @@ func TestStallExpiryOnSkippedToCycle(t *testing.T) {
 		{PC: 0x4000, Target: 0x4800, Class: predictor.CondDirect, Taken: false, Gap: 8},
 		{PC: 0x4100, Target: 0x4900, Class: predictor.Indirect, Taken: true, Gap: 12},
 	}
-	build := func(e Engine) *Core {
-		return buildScripted(core.CompleteFlush, 5000, e,
+	build := func() *Core {
+		return buildScripted(core.CompleteFlush, 5000,
 			&scripted{name: "stally", evs: evs},
 			&scripted{name: "stally2", evs: evs})
 	}
-	compareEngines(t, build, func(c *Core) uint64 { return c.RunTargetInstructions(300_000) })
+	compareLoops(t, build, false, 300_000)
 }
 
 // TestSMTRoundRobinFairnessOneWayStalled pins an SMT-2 core with one
 // way in near-permanent stall (every branch mispredicts) against a way
-// running pure whole-gap traffic. Arbitration must stay reference-exact
-// — the stalled way's slots are burned, not donated — and both ways must
-// make progress.
+// running pure whole-gap traffic: the stalled way's slots are burned,
+// not donated, and both ways must make progress.
 func TestSMTRoundRobinFairnessOneWayStalled(t *testing.T) {
 	stally := func(name string) workload.Program {
 		return &scripted{name: name, evs: []workload.BranchEvent{
@@ -114,35 +118,31 @@ func TestSMTRoundRobinFairnessOneWayStalled(t *testing.T) {
 			{PC: 0x7000, Target: 0x7100, Class: predictor.CondDirect, Taken: false, Gap: 4000},
 		}}
 	}
-	build := func(e Engine) *Core {
-		ctrl := core.NewController(core.OptionsFor(core.Baseline), 9)
-		dir := gshare.New(gshare.Gem5Config(), ctrl)
-		c := New(Gem5Config(2), DefaultScheduler(20_000), ctrl, dir)
-		c.SetEngine(e)
-		c.Assign(stally("stall-way"), gappy("gap-way"))
-		return c
-	}
-	ref, _ := compareEngines(t, build, func(c *Core) uint64 { return c.RunTotalInstructions(500_000) })
-	if ref.Threads[0][0].Instructions == 0 || ref.Threads[1][0].Instructions == 0 {
-		t.Fatalf("an SMT way starved: %+v", ref.Threads)
+	ctrl := core.NewController(core.OptionsFor(core.Baseline), 9)
+	dir := gshare.New(gshare.Gem5Config(), ctrl)
+	c := New(Gem5Config(2), DefaultScheduler(20_000), ctrl, dir)
+	c.Assign(stally("stall-way"), gappy("gap-way"))
+	c.RunTotalInstructions(500_000)
+	if c.ThreadStatsOf(0, 0).Instructions == 0 || c.ThreadStatsOf(1, 0).Instructions == 0 {
+		t.Fatalf("an SMT way starved: %+v / %+v", c.ThreadStatsOf(0, 0), c.ThreadStatsOf(1, 0))
 	}
 }
 
 // TestRunTotalTerminationExactlyAtGoal asserts the run stops on the
 // slot that crosses the goal: the overshoot is bounded by one fetch
-// group, and the fast engine's cycle count matches the reference even
-// when the goal lands mid-gap-skip.
+// group, and fastRun1's cycle count matches the stepper's even when the
+// goal lands mid-gap-skip.
 func TestRunTotalTerminationExactlyAtGoal(t *testing.T) {
 	// Goals chosen to land inside whole-gap skips (gap 64 = 16 FPGA
 	// fetch groups) and off any group multiple.
 	for _, goal := range []uint64{1, 7, 63, 64, 65, 100_003} {
-		mk := func(e Engine) *Core {
-			return buildScripted(core.Baseline, 50_000, e,
+		mk := func() *Core {
+			return buildScripted(core.Baseline, 50_000,
 				&scripted{name: "wide", evs: []workload.BranchEvent{
 					{PC: 0x9000, Target: 0x9100, Class: predictor.CondDirect, Taken: false, Gap: 64},
 				}})
 		}
-		ref, _ := compareEngines(t, mk, func(c *Core) uint64 { return c.RunTotalInstructions(goal) })
+		ref := compareLoops(t, mk, true, goal)
 		var user uint64
 		for hw := range ref.Threads {
 			for _, st := range ref.Threads[hw] {
@@ -159,15 +159,15 @@ func TestRunTotalTerminationExactlyAtGoal(t *testing.T) {
 }
 
 // TestRunZeroInstructions: a zero-instruction run must not advance time
-// under either engine.
+// on either loop.
 func TestRunZeroInstructions(t *testing.T) {
-	build := func(e Engine) *Core {
-		return buildScripted(core.Baseline, 10_000, e,
+	build := func() *Core {
+		return buildScripted(core.Baseline, 10_000,
 			&scripted{name: "idle", evs: []workload.BranchEvent{
 				{PC: 0xa000, Target: 0xa100, Class: predictor.CondDirect, Taken: false, Gap: 5},
 			}})
 	}
-	ref, _ := compareEngines(t, build, func(c *Core) uint64 { return c.RunTotalInstructions(0) })
+	ref := compareLoops(t, build, true, 0)
 	if ref.Elapsed != 0 {
 		t.Fatalf("zero-goal run advanced %d cycles", ref.Elapsed)
 	}

@@ -13,29 +13,27 @@ import (
 )
 
 // Periodic re-key and cycle-limit edge cases: the re-key check lives at
-// every fetch-group entry in the reference engine, so every fast-engine
-// skip (stall burns, whole-gap groups, SMT round skips, the per-slot
-// lookahead) must clamp to the next re-key cycle, and cycle-limited runs
-// must stop exactly on the limit with resumable state.
+// every fetch-group entry in the stepper, so every fastRun1 skip (stall
+// burns, whole-gap groups) must clamp to the next re-key cycle, and
+// cycle-limited runs must stop exactly on the limit with resumable
+// state.
 
 // rekeyScripted builds a core over scripted programs with a periodic
 // re-key on top of the mechanism's event-driven rotations.
-func rekeyScripted(m core.Mechanism, rekey, timer uint64, e Engine, progs ...workload.Program) *Core {
+func rekeyScripted(m core.Mechanism, rekey, timer uint64, progs ...workload.Program) *Core {
 	o := core.OptionsFor(m)
 	o.RekeyPeriod = rekey
 	ctrl := core.NewController(o, 7)
 	dir := tage.New(tage.FPGAConfig(), ctrl)
 	c := New(FPGAConfig(), DefaultScheduler(timer), ctrl, dir)
-	c.SetEngine(e)
 	c.Assign(progs...)
 	return c
 }
 
 // TestPeriodicRekeyEquivalence sweeps re-key periods that land on and
 // off fetch-group and gap-skip boundaries (primes, powers of two, a
-// period shorter than the stall penalty) and asserts the fast engine is
-// byte-identical to the reference stepper, including the rotation
-// counters.
+// period shorter than the stall penalty) and asserts fastRun1 is
+// byte-identical to the stepper, including the rotation counters.
 func TestPeriodicRekeyEquivalence(t *testing.T) {
 	mkProg := func(name string, gap uint16) workload.Program {
 		return &scripted{name: name, evs: []workload.BranchEvent{
@@ -45,11 +43,10 @@ func TestPeriodicRekeyEquivalence(t *testing.T) {
 		}}
 	}
 	for _, rekey := range []uint64{13, 509, 1 << 12, 99_991} {
-		build := func(e Engine) *Core {
-			return rekeyScripted(core.NoisyXOR, rekey, 3001, e,
-				mkProg("gappy", 6000), mkProg("chewy", 40))
+		build := func() *Core {
+			return rekeyScripted(core.NoisyXOR, rekey, 3001, mkProg("gappy", 6000), mkProg("chewy", 40))
 		}
-		ref, _ := compareEngines(t, build, func(c *Core) uint64 { return c.RunTargetInstructions(200_000) })
+		ref := compareLoops(t, build, false, 200_000)
 		if rekey < 1000 && ref.Rot == 0 {
 			t.Fatalf("rekey=%d: no rotations recorded", rekey)
 		}
@@ -59,10 +56,9 @@ func TestPeriodicRekeyEquivalence(t *testing.T) {
 // TestRekeySMTPerSlotLookahead pins an SMT-4 core with heterogeneous
 // ways — a persistent staller whose stall windows span timer interrupts,
 // two whole-gap ways at different widths, and a dense mixed way — under
-// a prime re-key period, so the per-slot lookahead path must interleave
-// arithmetic slots, burned slots and re-key-carrying fetch groups within
-// single rounds. Asserts byte-identical state against the reference
-// stepper and that no way starves.
+// a prime re-key period, so burned slots, long gaps and re-key-carrying
+// fetch groups interleave within single round-robin rounds. Asserts that
+// no way starves.
 func TestRekeySMTPerSlotLookahead(t *testing.T) {
 	stally := &scripted{name: "stall-way", evs: []workload.BranchEvent{
 		{PC: 0x6000, Target: 0x6800, Class: predictor.Indirect, Taken: true, Gap: 2},
@@ -78,24 +74,16 @@ func TestRekeySMTPerSlotLookahead(t *testing.T) {
 		{PC: 0x7400, Target: 0x7500, Class: predictor.CondDirect, Taken: true, Gap: 2},
 		{PC: 0x7410, Target: 0x7510, Class: predictor.CondDirect, Taken: false, Gap: 5},
 	}}
-	build := func(e Engine) *Core {
-		o := core.OptionsFor(core.NoisyXOR)
-		o.RekeyPeriod = 2503
-		ctrl := core.NewController(o, 9)
-		dir := gshare.New(gshare.Gem5Config(), ctrl)
-		c := New(Gem5Config(4), DefaultScheduler(10_007), ctrl, dir)
-		c.SetEngine(e)
-		c.Assign(
-			&scripted{name: stally.name, evs: stally.evs},
-			&scripted{name: wide.name, evs: wide.evs},
-			&scripted{name: narrow.name, evs: narrow.evs},
-			&scripted{name: dense.name, evs: dense.evs})
-		return c
-	}
-	ref, _ := compareEngines(t, build, func(c *Core) uint64 { return c.RunTotalInstructions(400_000) })
-	for hw := range ref.Threads {
-		if ref.Threads[hw][0].Instructions == 0 {
-			t.Fatalf("SMT way %d starved: %+v", hw, ref.Threads)
+	o := core.OptionsFor(core.NoisyXOR)
+	o.RekeyPeriod = 2503
+	ctrl := core.NewController(o, 9)
+	dir := gshare.New(gshare.Gem5Config(), ctrl)
+	c := New(Gem5Config(4), DefaultScheduler(10_007), ctrl, dir)
+	c.Assign(stally, wide, narrow, dense)
+	got := capture(c, c.RunTotalInstructions(400_000))
+	for hw := range got.Threads {
+		if got.Threads[hw][0].Instructions == 0 {
+			t.Fatalf("SMT way %d starved: %+v", hw, got.Threads)
 		}
 	}
 }
@@ -109,8 +97,7 @@ func TestNonEncodingRekeyInert(t *testing.T) {
 			{PC: 0x4000, Target: 0x4800, Class: predictor.CondDirect, Taken: true, Gap: 24},
 			{PC: 0x4100, Target: 0x4900, Class: predictor.Indirect, Taken: true, Gap: 7},
 		}
-		c := rekeyScripted(core.CompleteFlush, rekey, 5000, EngineFast,
-			&scripted{name: "w", evs: evs})
+		c := rekeyScripted(core.CompleteFlush, rekey, 5000, &scripted{name: "w", evs: evs})
 		return capture(c, c.RunTargetInstructions(150_000))
 	}
 	with, without := mk(777), mk(0)
@@ -120,15 +107,15 @@ func TestNonEncodingRekeyInert(t *testing.T) {
 }
 
 // TestCycleLimitedRunResumes: a run segmented across arbitrary cycle
-// limits — including limits landing inside stall windows, gap skips and
-// SMT rounds — must finish in exactly the state of the straight run.
+// limits — including limits landing inside stall windows and gap skips
+// — must finish in exactly the state of the straight run.
 func TestCycleLimitedRunResumes(t *testing.T) {
 	build := func() *Core {
 		evs := []workload.BranchEvent{
 			{PC: 0x1000, Target: 0x2000, Class: predictor.CondDirect, Taken: true, Gap: 900},
 			{PC: 0x1100, Target: 0x1110, Class: predictor.Indirect, Taken: true, Gap: 12},
 		}
-		return rekeyScripted(core.NoisyXOR, 997, 3001, EngineFast,
+		return rekeyScripted(core.NoisyXOR, 997, 3001,
 			&scripted{name: "a", evs: evs}, &scripted{name: "b", evs: evs})
 	}
 	const goal = 120_000
@@ -173,35 +160,43 @@ func (s *scripted) Restore(r *snap.Reader)  { s.pos = int(r.U64()) }
 // TestCoreSnapshotRoundTrip stops a run mid-flight, snapshots, restores
 // into a freshly built core, and requires (a) the restored core to
 // re-snapshot byte-identically and (b) both cores to finish the
-// remainder of the run in byte-identical state — under both engines,
-// including across an engine swap (snapshot under fast, restore under
-// reference), which is what ties the snapshot seam to the oracle.
+// remainder of the run in byte-identical state — on fastRun1 and across
+// a swap to and from the stepper (snapshot on one loop, resume on the
+// other), which is what ties the snapshot seam to the oracle.
 func TestCoreSnapshotRoundTrip(t *testing.T) {
 	evs := []workload.BranchEvent{
 		{PC: 0x1000, Target: 0x2000, Class: predictor.CondDirect, Taken: true, Gap: 300},
 		{PC: 0x1100, Target: 0x1110, Class: predictor.Indirect, Taken: true, Gap: 9},
 		{PC: 0x1200, Target: 0x1210, Class: predictor.CondDirect, Taken: false, Gap: 2},
 	}
-	build := func(e Engine) *Core {
-		return rekeyScripted(core.NoisyXOR, 1511, 2003, e,
+	build := func() *Core {
+		return rekeyScripted(core.NoisyXOR, 1511, 2003,
 			&scripted{name: "a", evs: evs}, &scripted{name: "b", evs: evs})
 	}
-	for _, engines := range [][2]Engine{
-		{EngineFast, EngineFast},
-		{EngineFast, EngineReference},
-		{EngineReference, EngineFast},
+	fast := func(c *Core, n, cycLimit uint64) uint64 {
+		cyc, _ := c.RunTargetInstructionsUntil(n, cycLimit)
+		return cyc
+	}
+	step := func(c *Core, n, cycLimit uint64) uint64 { return stepUntil(c, true, n, cycLimit) }
+	for _, loops := range []struct {
+		name         string
+		donor, clone func(c *Core, n, cycLimit uint64) uint64
+	}{
+		{"fast/fast", fast, fast},
+		{"fast/stepper", fast, step},
+		{"stepper/fast", step, fast},
 	} {
-		donor := build(engines[0])
+		donor := build()
 		if !donor.Snapshottable() {
 			t.Fatal("scripted core not snapshottable")
 		}
 		const goal, stopAt = 90_000, 20_000
-		donor.RunTargetInstructionsUntil(goal, stopAt)
+		loops.donor(donor, goal, stopAt)
 		w := &snap.Writer{}
 		donor.Snapshot(w)
 		data := w.Bytes()
 
-		clone := build(engines[1])
+		clone := build()
 		r := snap.NewReader(data)
 		clone.Restore(r)
 		if err := r.Err(); err != nil {
@@ -213,14 +208,14 @@ func TestCoreSnapshotRoundTrip(t *testing.T) {
 		w2 := &snap.Writer{}
 		clone.Snapshot(w2)
 		if string(w2.Bytes()) != string(data) {
-			t.Fatalf("engines %v: restored core re-snapshots differently", engines)
+			t.Fatalf("%s: restored core re-snapshots differently", loops.name)
 		}
 
-		dn := donor.RunTargetInstructions(goal - donor.ThreadStatsOf(0, 0).Instructions)
-		cn := clone.RunTargetInstructions(goal - clone.ThreadStatsOf(0, 0).Instructions)
+		dn := loops.donor(donor, goal-donor.ThreadStatsOf(0, 0).Instructions, NoCycleLimit)
+		cn := loops.clone(clone, goal-clone.ThreadStatsOf(0, 0).Instructions, NoCycleLimit)
 		ds, cs := capture(donor, dn), capture(clone, cn)
 		if !reflect.DeepEqual(ds, cs) {
-			t.Fatalf("engines %v: restored core diverged:\ndonor: %+v\nclone: %+v", engines, ds, cs)
+			t.Fatalf("%s: restored core diverged:\ndonor: %+v\nclone: %+v", loops.name, ds, cs)
 		}
 	}
 }

@@ -222,18 +222,28 @@ func TestLocalBackendMatchesDirectRun(t *testing.T) {
 	}
 }
 
-// TestSpecFromWireRejectsGarbage: every name field is validated — a
+// TestSpecFromWireRejectsGarbage: every name field and every core
+// parameter the simulator would panic or hang on is validated — a
 // worker must refuse what it cannot faithfully execute.
 func TestSpecFromWireRejectsGarbage(t *testing.T) {
 	good := specToWire(withScale(singleSpec(baselineOpts(), workload.SingleCorePairs()[0], 300_000), microScale()))
 	breakers := map[string]func(*wire.Spec){
-		"codec":     func(w *wire.Spec) { w.Codec = "rot13" },
-		"scrambler": func(w *wire.Spec) { w.Scrambler = "enigma" },
-		"pred":      func(w *wire.Spec) { w.Pred = "oracle" },
-		"kind":      func(w *wire.Spec) { w.Kind = "benchmark" },
-		"workload":  func(w *wire.Spec) { w.Threads = []string{"doom"} },
-		"threads":   func(w *wire.Spec) { w.Threads = nil },
-		"scale":     func(w *wire.Spec) { w.Scale.MeasureInstr = 0 },
+		"codec":              func(w *wire.Spec) { w.Codec = "rot13" },
+		"scrambler":          func(w *wire.Spec) { w.Scrambler = "enigma" },
+		"pred":               func(w *wire.Spec) { w.Pred = "oracle" },
+		"kind":               func(w *wire.Spec) { w.Kind = "benchmark" },
+		"workload":           func(w *wire.Spec) { w.Threads = []string{"doom"} },
+		"threads":            func(w *wire.Spec) { w.Threads = nil },
+		"scale":              func(w *wire.Spec) { w.Scale.MeasureInstr = 0 },
+		"hw_threads 0":       func(w *wire.Spec) { w.Cfg.HWThreads = 0 },
+		"hw_threads 9":       func(w *wire.Spec) { w.Cfg.HWThreads = 9 },
+		"hw_threads>threads": func(w *wire.Spec) { w.Cfg.HWThreads = len(w.Threads) + 1 },
+		"fetch_width 0":      func(w *wire.Spec) { w.Cfg.FetchWidth = 0 },
+		"ras_depth 0":        func(w *wire.Spec) { w.Cfg.RASDepth = 0 },
+		"ras_depth -1":       func(w *wire.Spec) { w.Cfg.RASDepth = -1 },
+		"btb sets 0":         func(w *wire.Spec) { w.Cfg.BTB.Sets = 0 },
+		"btb ways 0":         func(w *wire.Spec) { w.Cfg.BTB.Ways = 0 },
+		"timer 0":            func(w *wire.Spec) { w.Timer = 0 },
 	}
 	for name, mutate := range breakers {
 		w := good

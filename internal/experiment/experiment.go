@@ -43,8 +43,9 @@ func FullScale() Scale {
 	}
 }
 
-// BenchScale is a reduced configuration for `go test -bench`: same
-// structure, noisier estimates.
+// BenchScale is a reduced configuration for quick full-structure runs
+// (bpsim -scale bench) and the fork sweep gate: same structure, noisier
+// estimates.
 func BenchScale() Scale {
 	return Scale{
 		WarmupInstr:     1_000_000,
@@ -132,12 +133,6 @@ type attackCell struct {
 	attempts int
 	seed     uint64
 }
-
-// runEngine selects the cpu execution engine for every simulation the
-// engine executes. It exists for the equivalence suite: flipping it to
-// cpu.EngineReference must leave every rendered table byte-identical,
-// which is what makes results cached by either engine interchangeable.
-var runEngine = cpu.EngineFast
 
 // run executes one simulation cold: warmup, stat reset, measurement —
 // or, for an attack job, the registered PoC measurement. Performance

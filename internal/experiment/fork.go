@@ -14,7 +14,8 @@ package experiment
 //
 //   - The cpu snapshot seam is byte-exact: a restored core continues the
 //     identical trajectory (cycle counts, stats, controller counters) as
-//     the donor — verified against cpu.EngineReference.
+//     the donor — verified on both cpu loops, including a snapshot taken
+//     on one and resumed on the other (cpu.TestCoreSnapshotRoundTrip).
 //   - A member whose re-key period is P runs cycles 1..P-1 identically
 //     to a re-key-free core: the re-key check at each fetch-group entry
 //     compares c.cycle >= P and cannot fire before cycle P. The straight
@@ -73,7 +74,6 @@ func newSim(s runSpec) *sim {
 	ctrl := core.NewController(s.opts, s.scale.Seed)
 	dir := NewDirPredictor(s.predName, ctrl)
 	c := cpu.New(s.cfg, cpu.DefaultScheduler(s.timer), ctrl, dir)
-	c.SetEngine(runEngine)
 	var progs []workload.Program
 	for i, n := range s.names {
 		progs = append(progs, workload.NewGenerator(workload.MustByName(n), s.scale.Seed*1000+uint64(i)))

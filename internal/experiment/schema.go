@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"xorbp/internal/attack"
+	"xorbp/internal/bitutil"
 	"xorbp/internal/core"
 	"xorbp/internal/wire"
 	"xorbp/internal/workload"
@@ -91,6 +92,9 @@ func specFromWire(w wire.Spec) (runSpec, error) {
 	if w.Scale.MeasureInstr == 0 {
 		return runSpec{}, fmt.Errorf("experiment: spec has a zero measurement budget")
 	}
+	if err := checkCore(w); err != nil {
+		return runSpec{}, err
+	}
 	return runSpec{
 		opts:     opts,
 		predName: w.Pred,
@@ -99,6 +103,31 @@ func specFromWire(w wire.Spec) (runSpec, error) {
 		names:    append([]string(nil), w.Threads...),
 		scale:    w.Scale,
 	}, nil
+}
+
+// checkCore rejects a core the simulator cannot run: each case below
+// panics while the core is built, divides by zero in the cycle loop or
+// never finishes — a zero timer period takes an interrupt at every
+// fetch-group entry, so the target never fetches.
+func checkCore(w wire.Spec) error {
+	c := w.Cfg
+	switch {
+	case c.HWThreads < 1 || c.HWThreads > core.MaxHWThreads:
+		return fmt.Errorf("experiment: hw_threads %d outside 1..%d", c.HWThreads, core.MaxHWThreads)
+	case c.HWThreads > len(w.Threads):
+		return fmt.Errorf("experiment: %d hardware threads for %d software threads", c.HWThreads, len(w.Threads))
+	case c.FetchWidth < 1:
+		return fmt.Errorf("experiment: fetch_width %d < 1", c.FetchWidth)
+	case c.RASDepth < 1:
+		return fmt.Errorf("experiment: ras_depth %d < 1", c.RASDepth)
+	case !bitutil.IsPow2(uint64(c.BTB.Sets)):
+		return fmt.Errorf("experiment: btb sets %d is not a power of two", c.BTB.Sets)
+	case c.BTB.Ways == 0:
+		return fmt.Errorf("experiment: btb has zero ways")
+	case w.Timer == 0:
+		return fmt.Errorf("experiment: zero timer period")
+	}
+	return nil
 }
 
 // attackSpecFromWire validates and reconstructs an attack job. Like the
