@@ -9,7 +9,6 @@
 //	          [-workers N] [-progress] [-json]
 //	          [-cache DIR] [-shard I/N] [-token T]
 //	          [-fleet HOST:PORT] [-fleet-lease D] [-tls-cert FILE] [-tls-key FILE]
-//	          [-journal FILE] [-resume] [-chaos PLAN]
 //	          [-cpuprofile FILE] [-memprofile FILE]
 //
 // Without a selector flag the PoC accuracy and Table 1 experiments run
@@ -20,7 +19,8 @@
 //
 // Every attack cell is an engine job, so the flags shared with bpsim
 // mean the same things: -cache persists resolved cells across
-// invocations (a warm re-run simulates nothing), -workers bounds the
+// invocations (a warm re-run simulates nothing, and a killed sweep run
+// again on the same -cache simulates only the rest), -workers bounds the
 // in-process pool, -fleet runs this process as a pull-queue leader
 // that bpserve -pull workers claim batches from (-token authenticating
 // them against bpserve -token, -tls-cert/-tls-key serving that
@@ -29,12 +29,8 @@
 // afterwards renders from the shared cache), -progress reports
 // done/planned with a session-wide ETA over the pre-planned grid, and
 // -json streams per-cell records, JSON tables and a final summary
-// record. -journal FILE records every resolved cell in a crash-safe
-// WAL so a killed sweep restarts with -resume and simulates only the
-// remainder; -chaos PLAN arms deterministic fault injection (see
-// internal/chaos and the bpsim doc — the robustness machinery is
-// shared). Tables are byte-identical for every worker count, backend
-// and shard split.
+// record. Tables are byte-identical for every worker count, backend and
+// shard split.
 package main
 
 import (
@@ -73,9 +69,6 @@ func main() {
 	token := flag.String("token", "", "with -fleet: bearer token pull workers must present (bpserve -token)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the invocation to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile (post-GC) to this file on exit")
-	journalPath := flag.String("journal", "", "append-only sweep journal (WAL): crash-safe record of planned and completed cells")
-	resume := flag.Bool("resume", false, "resume from -journal: replay its completed cells and simulate only the remainder")
-	chaosPlan := flag.String("chaos", "", "arm deterministic fault injection from this FaultPlan JSON file (hardening tests)")
 	fleetFlags := driver.AddFleetFlags()
 	flag.Parse()
 
@@ -125,7 +118,6 @@ func main() {
 	// Pick the topology: the in-process pool or a pull-queue leader.
 	workersSet := false
 	flag.Visit(func(f *flag.Flag) { workersSet = workersSet || f.Name == "workers" })
-	ch := driver.LoadChaos("attacksim", *chaosPlan)
 	conn := driver.Connect(driver.ConnectOptions{
 		Prog: "attacksim", Token: *token,
 		Workers: *workers, WorkersSet: workersSet, Fleet: fleetFlags,
@@ -145,7 +137,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "attacksim: disabling run cache: %v\n", err)
 		} else {
 			exec.SetStore(st)
-			ch.ArmStore(st)
 		}
 	}
 	if *asJSON {
@@ -168,11 +159,6 @@ func main() {
 		e.run(planner)
 	}
 	exec.Plan(planner)
-
-	jnl := driver.AttachJournal("attacksim", exec, *journalPath, *resume)
-	if jnl != nil {
-		defer jnl.Close()
-	}
 
 	wallStart := time.Now()
 	var shardProg driver.ShardProgress
@@ -214,10 +200,4 @@ func main() {
 		fmt.Fprintf(os.Stderr, "[cache %s: %d replayed, %d simulated, %d entries]\n",
 			st.Dir(), cs.Hits, exec.Runs(), st.Len())
 	}
-	if jnl != nil {
-		if err := jnl.Err(); err != nil {
-			fmt.Fprintf(os.Stderr, "attacksim: warning: sweep journal went bad mid-run (resume may re-simulate): %v\n", err)
-		}
-	}
-	ch.Report("attacksim")
 }

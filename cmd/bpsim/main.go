@@ -6,7 +6,6 @@
 //	      [-scale full|bench|micro] [-seed N] [-workers N] [-progress] [-json]
 //	      [-cache DIR] [-shard I/N] [-token T]
 //	      [-fleet HOST:PORT] [-fleet-lease D] [-tls-cert FILE] [-tls-key FILE]
-//	      [-journal FILE] [-resume] [-chaos PLAN]
 //	      [-cache-gc] [-gc-age D] [-gc-max-bytes N]
 //	      [-cpuprofile FILE] [-memprofile FILE]
 //
@@ -15,7 +14,9 @@
 //
 // -cache DIR persists every resolved simulation across invocations
 // (default ~/.cache/xorbp; -cache "" disables): a second run of the same
-// experiments replays results from the store instead of simulating.
+// experiments replays results from the store instead of simulating. The
+// same holds for a sweep that was killed part-way: run it again on the
+// same -cache and only the cells it had not finished simulate.
 //
 // -fleet HOST:PORT distributes the sweep: this process becomes a
 // pull-queue leader, and bpserve workers started with -pull HOST:PORT
@@ -28,19 +29,6 @@
 // outstanding. Tables stay byte-identical to a serial run under every
 // topology: results are pure functions of their specs regardless of
 // where they execute.
-//
-// -journal FILE makes the sweep crash-safe: every planned wire key and
-// every resolved result is appended (fsynced) to an append-only WAL, so
-// a run killed mid-sweep can be restarted with -resume — the journal's
-// completed cells are replayed without simulating and only the
-// remainder runs, in every topology. Tables are byte-identical to an
-// uninterrupted run.
-//
-// -chaos PLAN arms deterministic fault injection from a FaultPlan JSON
-// file (see internal/chaos): in a sweep, seeded faults fire at the run
-// cache's write path, and a run is exactly replayable from its plan.
-// -chaos is for hardening tests; results stay correct under it or the
-// run fails loudly.
 //
 // -shard I/N statically partitions the grid: this process simulates only
 // the cells whose key hashes to shard I of N, skips the rest, and
@@ -151,9 +139,6 @@ func main() {
 	gcMaxBytes := flag.Int64("gc-max-bytes", 4<<30, "with -cache-gc: evict oldest entries until the cache fits this many bytes (0 disables)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the invocation to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile (post-GC) to this file on exit")
-	journalPath := flag.String("journal", "", "append-only sweep journal (WAL): crash-safe record of planned and completed cells")
-	resume := flag.Bool("resume", false, "resume from -journal: replay its completed cells and simulate only the remainder")
-	chaosPlan := flag.String("chaos", "", "arm deterministic fault injection from this FaultPlan JSON file (hardening tests)")
 	fleetFlags := driver.AddFleetFlags()
 	flag.Parse()
 
@@ -211,7 +196,6 @@ func main() {
 	// Pick the topology: the in-process pool or a pull-queue leader.
 	workersSet := false
 	flag.Visit(func(f *flag.Flag) { workersSet = workersSet || f.Name == "workers" })
-	ch := driver.LoadChaos("bpsim", *chaosPlan)
 	conn := driver.Connect(driver.ConnectOptions{
 		Prog: "bpsim", Token: *token,
 		Workers: *workers, WorkersSet: workersSet, Fleet: fleetFlags,
@@ -231,7 +215,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "bpsim: disabling run cache: %v\n", err)
 		} else {
 			exec.SetStore(st)
-			ch.ArmStore(st)
 		}
 	}
 	if *asJSON {
@@ -260,11 +243,6 @@ func main() {
 		}
 	}
 	exec.Plan(planner)
-
-	jnl := driver.AttachJournal("bpsim", exec, *journalPath, *resume)
-	if jnl != nil {
-		defer jnl.Close()
-	}
 
 	wallStart := time.Now()
 	var shardProg driver.ShardProgress
@@ -307,10 +285,4 @@ func main() {
 		fmt.Fprintf(os.Stderr, "[cache %s: %d replayed, %d simulated, %d entries]\n",
 			st.Dir(), cs.Hits, exec.Runs(), st.Len())
 	}
-	if jnl != nil {
-		if err := jnl.Err(); err != nil {
-			fmt.Fprintf(os.Stderr, "bpsim: warning: sweep journal went bad mid-run (resume may re-simulate): %v\n", err)
-		}
-	}
-	ch.Report("bpsim")
 }

@@ -11,19 +11,16 @@
 //
 // Scenarios:
 //
-//	serial   fault-free reference renders (Figure 1 and the re-key sweep)
+//	serial   fault-free reference render (Figure 1)
 //	pull     pull-queue fleet with worker crashes mid-lease, dropped
 //	         heartbeats and duplicate completions, plus cache write
-//	         corruption on the leader's store; sweep journal attached,
-//	         then replayed into a fresh executor (zero re-simulation),
-//	         and the reopened store must quarantine exactly the
-//	         corrupted entries
+//	         corruption on the leader's store; the reopened store must
+//	         quarantine exactly the corrupted entries, and a warm render
+//	         over it must re-simulate exactly the lost ones
 //	restart  the pull leader is killed mid-sweep at a plan-scheduled
-//	         point; a restarted leader resumes from the journal, workers
-//	         rejoin, and only the remainder is simulated
-//	snap     snapshot prefix blobs corrupted on write; the re-key sweep
-//	         must fall back to cold simulation with identical results,
-//	         and a reopened snapshot store must quarantine the blob
+//	         point; a restarted leader on the same run cache replays the
+//	         cells the first leader finished, workers rejoin, and only
+//	         the remainder is simulated
 //
 // -check exits 1 on any divergence or failed invariant (CI runs this as
 // the chaos-smoke gate). The plan file is committed, so a CI failure
@@ -38,12 +35,10 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"path/filepath"
 	"sync/atomic"
 	"time"
 
 	"xorbp/internal/chaos"
-	"xorbp/internal/driver"
 	"xorbp/internal/experiment"
 	"xorbp/internal/fleet"
 	"xorbp/internal/runcache"
@@ -82,13 +77,11 @@ func main() {
 	fmt.Printf("# chaosbench: plan %s (seed %d, %d rules), %d members x %d slots, scale %s\n\n",
 		*planPath, plan.Seed, len(plan.Rules), h.n, h.cap, *scaleName)
 
-	serialFig := h.mustRender(experiment.NewExecutor(1))
-	serialRekey := h.mustRenderRekey(experiment.NewExecutor(1))
-	fmt.Println("serial: reference renders done")
+	serial := h.mustRender(experiment.NewExecutor(1))
+	fmt.Println("serial: reference render done")
 
-	h.pull(serialFig)
-	h.restart(serialFig)
-	h.snap(serialRekey)
+	h.pull(serial)
+	h.restart(serial)
 
 	if len(h.fails) > 0 {
 		fmt.Fprintf(os.Stderr, "\nchaosbench: %d invariant(s) failed\n", len(h.fails))
@@ -134,22 +127,6 @@ func (h *harness) mustRender(exec *experiment.Executor) string {
 	return out
 }
 
-func (h *harness) mustRenderRekey(exec *experiment.Executor) string {
-	out := experiment.NewSessionWith(h.scale, exec).RekeySweep().Render()
-	if err := exec.Err(); err != nil {
-		h.failf("executor failed: %v", err)
-	}
-	return out
-}
-
-// planFig plans the Figure 1 grid onto exec (journal bookkeeping needs
-// the planned key set before the first batch).
-func (h *harness) planFig(exec *experiment.Executor) {
-	p := experiment.NewPlanner()
-	experiment.NewSessionWith(h.scale, p).Figure1()
-	exec.Plan(p)
-}
-
 func (h *harness) tempDir(pattern string) string {
 	dir, err := os.MkdirTemp("", pattern)
 	if err != nil {
@@ -160,8 +137,7 @@ func (h *harness) tempDir(pattern string) string {
 }
 
 // pull: worker-lifecycle faults against a real pull queue and cache
-// write corruption on the leader's store, with the sweep journal
-// attached and then replayed into a fresh executor.
+// write corruption on the leader's store.
 func (h *harness) pull(serial string) {
 	inj := h.injector()
 	// A short lease keeps crashed-batch stealing fast; chaosbench's
@@ -189,11 +165,8 @@ func (h *harness) pull(serial string) {
 		go func() { _ = w.Run(ctx) }()
 	}
 
-	dir := h.tempDir("chaosbench-pull-*")
-	defer os.RemoveAll(dir)
-	jpath := filepath.Join(dir, "sweep.journal")
-
-	cacheDir := filepath.Join(dir, "cache")
+	cacheDir := h.tempDir("chaosbench-pull-*")
+	defer os.RemoveAll(cacheDir)
 	st, err := runcache.Open(cacheDir, experiment.SchemaVersion())
 	if err != nil {
 		h.failf("pull: %v", err)
@@ -203,28 +176,25 @@ func (h *harness) pull(serial string) {
 
 	exec := experiment.NewExecutorWith(h.n*h.cap, leader.Backend())
 	exec.SetStore(st)
-	h.planFig(exec)
-	j, err := driver.OpenJournal(jpath, experiment.SchemaVersion(), false)
-	if err != nil {
-		h.failf("pull: %v", err)
-		return
-	}
-	j.Plan(exec.PlannedKeys())
-	exec.SetJournal(j)
-
-	render := h.mustRender(exec)
-	if render != serial {
+	if h.mustRender(exec) != serial {
 		h.failf("pull: render diverged from serial under worker and cache faults")
 	}
-	if err := j.Err(); err != nil {
-		h.failf("pull: journal: %v", err)
-	}
-	if j.Done() != exec.Planned() {
-		h.failf("pull: journal holds %d cells, want %d", j.Done(), exec.Planned())
-	}
-	_ = j.Close()
 
 	counts := inj.Counts()
+	// A rate-1 cache fault or worker crash fires at a fixed decision
+	// point (one per record write, one per claimed spec), so one that
+	// never fired means its seam went dead. heartbeatloss rides
+	// wall-clock heartbeats and dupcomplete has no effect checked here;
+	// those two are only reported.
+	for _, r := range h.plan.Rules {
+		f, _ := chaos.FaultByName(r.Fault)
+		switch r.Fault {
+		case "bitflip", "truncate", "enospc", "workercrash":
+			if r.Rate == 1 && counts[f.Seam()+"/"+r.Fault] == 0 {
+				h.failf("pull: the plan schedules %s but it never fired", r.Fault)
+			}
+		}
+	}
 	qs := q.Stats()
 	var crashes uint64
 	for _, w := range workers {
@@ -235,27 +205,6 @@ func (h *harness) pull(serial string) {
 	}
 	if crashes > 0 && qs.Stolen == 0 {
 		h.failf("pull: a worker crashed mid-lease but no specs were stolen")
-	}
-
-	// Resume: a fresh executor primed from the journal must render
-	// identically without a single simulation.
-	j2, err := driver.OpenJournal(jpath, experiment.SchemaVersion(), true)
-	if err != nil {
-		h.failf("pull: resume: %v", err)
-		return
-	}
-	resumed := experiment.NewExecutorWith(1, experiment.LocalBackend{})
-	h.planFig(resumed)
-	primed := j2.PrimeExecutor(resumed)
-	_ = j2.Close()
-	if primed != resumed.Planned() {
-		h.failf("pull: resume primed %d cells, want the full grid (%d)", primed, resumed.Planned())
-	}
-	if h.mustRender(resumed) != serial {
-		h.failf("pull: resumed render diverged from serial")
-	}
-	if resumed.Runs() != 0 {
-		h.failf("pull: resumed render simulated %d cells, want 0", resumed.Runs())
 	}
 
 	// The leader's store: every injected enospc is one put error, a
@@ -283,8 +232,8 @@ func (h *harness) pull(serial string) {
 	if int(warm.Runs()) != lost {
 		h.failf("pull: warm render simulated %d cells, want %d (corrupted+enospc)", warm.Runs(), lost)
 	}
-	fmt.Printf("pull: identical; crashes=%d stolen=%d duplicates=%d; resume replayed %d cells with 0 simulations; warm pass re-simulated %d lost entries; faults: %v\n",
-		crashes, qs.Stolen, qs.Duplicates, primed, lost, inj.CountLines())
+	fmt.Printf("pull: identical; crashes=%d stolen=%d duplicates=%d; warm pass replayed %d cells and re-simulated %d lost entries; faults: %v\n",
+		crashes, qs.Stolen, qs.Duplicates, warm.Replays(), lost, inj.CountLines())
 }
 
 // crashingBackend wraps the leader's submitting backend: at the
@@ -309,15 +258,22 @@ func (c *crashingBackend) Run(ctx context.Context, spec wire.Spec) (wire.Result,
 	return c.inner.Run(ctx, spec)
 }
 
-// restart: the pull leader dies mid-sweep; a second leader resumes from
-// the journal, fresh workers rejoin, and only the remainder simulates.
+// restart: the pull leader dies mid-sweep; a second leader on the same
+// run-cache directory replays what the first one finished, fresh
+// workers rejoin, and only the remainder simulates.
 func (h *harness) restart(serial string) {
 	inj := h.injector()
-	dir := h.tempDir("chaosbench-restart-*")
-	defer os.RemoveAll(dir)
-	jpath := filepath.Join(dir, "sweep.journal")
+	cacheDir := h.tempDir("chaosbench-restart-*")
+	defer os.RemoveAll(cacheDir)
 
-	runPass := func(resume bool) (done, primed int, runs uint64, execErr error) {
+	// runPass is one leader process: it opens the cache directory
+	// afresh, as a restarted process would.
+	runPass := func() (replays int, runs uint64, execErr error) {
+		st, err := runcache.Open(cacheDir, experiment.SchemaVersion())
+		if err != nil {
+			h.failf("restart: %v", err)
+			os.Exit(1)
+		}
 		q := fleet.NewQueue(500*time.Millisecond, time.Now)
 		leader := fleet.NewLeader(q, "")
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -337,98 +293,44 @@ func (h *harness) restart(serial string) {
 		}
 
 		// A pool narrower than the grid keeps most of the sweep behind
-		// the kill point, so the crash leaves real work for the resume.
+		// the kill point, so the crash leaves real work for the restart.
 		exec := experiment.NewExecutorWith(4, &crashingBackend{inner: leader.Backend(), inj: inj})
-		h.planFig(exec)
-		j, err := driver.OpenJournal(jpath, experiment.SchemaVersion(), resume)
-		if err != nil {
-			h.failf("restart: %v", err)
-			os.Exit(1)
-		}
-		defer j.Close()
-		if resume {
-			primed = j.PrimeExecutor(exec)
-		}
-		j.Plan(exec.PlannedKeys())
-		exec.SetJournal(j)
+		exec.SetStore(st)
 		render := experiment.NewSessionWith(h.scale, exec).Figure1().Render()
 		if execErr = exec.Err(); execErr == nil && render != serial {
 			h.failf("restart: render diverged from serial")
 		}
-		return j.Done(), primed, exec.Runs(), execErr
+		return exec.Replays(), exec.Runs(), execErr
 	}
 
-	done1, _, _, err1 := runPass(false)
+	_, runs1, err1 := runPass()
 	planned := h.gridSize()
 	if err1 == nil {
 		h.failf("restart: first pass survived — leaderrestart never fired (plan too late for a %d-cell grid?)", planned)
 		return
 	}
-	if done1 >= planned {
-		h.failf("restart: first pass journaled the whole grid (%d) despite the crash", done1)
+	if int(runs1) >= planned {
+		h.failf("restart: first pass simulated the whole grid (%d) despite the crash", runs1)
 	}
 
-	done2, primed2, runs2, err2 := runPass(true)
+	replays2, runs2, err2 := runPass()
 	if err2 != nil {
-		h.failf("restart: resumed pass failed: %v", err2)
+		h.failf("restart: second pass failed: %v", err2)
 		return
 	}
-	if primed2 != done1 {
-		h.failf("restart: resumed pass primed %d cells, journal held %d", primed2, done1)
+	if replays2 != int(runs1) {
+		h.failf("restart: second pass replayed %d cells, the first pass simulated %d", replays2, runs1)
 	}
-	if int(runs2) != planned-primed2 {
-		h.failf("restart: resumed pass simulated %d cells, want exactly the remainder %d — a journaled cell ran twice or was lost",
-			runs2, planned-primed2)
+	if int(runs2) != planned-int(runs1) {
+		h.failf("restart: second pass simulated %d cells, want exactly the remainder %d — a finished cell ran twice or was lost",
+			runs2, planned-int(runs1))
 	}
-	if done2 != planned {
-		h.failf("restart: resumed journal holds %d cells, want %d", done2, planned)
-	}
-	fmt.Printf("restart: leader killed after %d/%d cells; resume primed %d, simulated only the %d-cell remainder; identical\n",
-		done1, planned, primed2, runs2)
+	fmt.Printf("restart: leader killed after %d/%d cells; resume replayed %d from the cache, simulated only the %d-cell remainder; identical\n",
+		runs1, planned, replays2, runs2)
 }
 
 func (h *harness) gridSize() int {
 	p := experiment.NewPlanner()
 	experiment.NewSessionWith(h.scale, p).Figure1()
 	return p.Planned()
-}
-
-// snap: snapshot prefix blobs corrupted on write. The sweep must not
-// notice (restore falls back to cold simulation), and a reopened
-// snapshot store must quarantine exactly the corrupted blobs.
-func (h *harness) snap(serialRekey string) {
-	inj := h.injector()
-	dir := h.tempDir("chaosbench-snap-*")
-	defer os.RemoveAll(dir)
-	st, err := runcache.Open(dir, experiment.SnapSchema())
-	if err != nil {
-		h.failf("snap: %v", err)
-		return
-	}
-	st.SetFileFault(chaos.NewSnapFaults(inj))
-
-	exec := experiment.NewExecutorWith(4, experiment.LocalBackend{})
-	exec.SetSnapshots(experiment.NewSnapStore(st))
-	if h.mustRenderRekey(exec) != serialRekey {
-		h.failf("snap: re-key render diverged under snapshot corruption")
-	}
-
-	flips := int(inj.Counts()["snapshot/snapcorrupt"])
-	st2, err := runcache.Open(dir, experiment.SnapSchema())
-	if err != nil {
-		h.failf("snap: reopen: %v", err)
-		return
-	}
-	if got := st2.Stats().Quarantined; got != flips {
-		h.failf("snap: reopen quarantined %d blobs, want %d (snapcorrupt fires)", got, flips)
-	}
-	// A second sweep over the quarantine-swept snapshot store must also
-	// match: missing prefixes only cost cold simulation.
-	exec2 := experiment.NewExecutorWith(4, experiment.LocalBackend{})
-	exec2.SetSnapshots(experiment.NewSnapStore(st2))
-	if h.mustRenderRekey(exec2) != serialRekey {
-		h.failf("snap: warm re-key render over swept snapshot store diverged")
-	}
-	fmt.Printf("snap: identical; %d corrupted blob(s) quarantined at reopen; faults: %v\n",
-		flips, inj.CountLines())
 }

@@ -2,31 +2,16 @@ package chaos
 
 import "fmt"
 
-// CacheFaults implements runcache.FileFault: it perturbs cache entry
-// bytes on their way to disk (the in-memory copy is untouched). Attach
-// with runcache.Store.SetFileFault. The flip/trunc/full fields name
-// which plan rules drive each failure mode, so the same implementation
-// serves both the result cache (BitFlip/Truncate/ENOSPC) and the
-// snapshot store (SnapCorrupt) — see NewCacheFaults and NewSnapFaults.
+// CacheFaults implements runcache.FileFault: it perturbs cache record
+// bytes on their way to disk (the in-memory copy is untouched), driven
+// by the plan's bitflip/truncate/enospc rules. Attach with
+// runcache.Store.SetFileFault.
 type CacheFaults struct {
-	inj   *Injector
-	flip  Fault // bit-flip rule; nil disables
-	trunc Fault // truncation rule; nil disables
-	full  Fault // write-error rule; nil disables
+	inj *Injector
 }
 
-// NewCacheFaults drives a result cache's write path from the plan's
-// bitflip/truncate/enospc rules.
-func NewCacheFaults(inj *Injector) *CacheFaults {
-	return &CacheFaults{inj: inj, flip: BitFlip{}, trunc: Truncate{}, full: ENOSPC{}}
-}
-
-// NewSnapFaults drives a snapshot store's write path from the plan's
-// snapcorrupt rule (corruption only — a snapshot write error already
-// degrades to a cold run upstream).
-func NewSnapFaults(inj *Injector) *CacheFaults {
-	return &CacheFaults{inj: inj, flip: SnapCorrupt{}}
-}
+// NewCacheFaults drives a result cache's write path from inj.
+func NewCacheFaults(inj *Injector) *CacheFaults { return &CacheFaults{inj: inj} }
 
 // WriteEntry applies at most one fault to the bytes about to be
 // written for key: an outright write error (ENOSPC), truncation to
@@ -34,13 +19,13 @@ func NewSnapFaults(inj *Injector) *CacheFaults {
 // is a copy; the caller's buffer is never aliased.
 func (c *CacheFaults) WriteEntry(key string, raw []byte) ([]byte, error) {
 	switch {
-	case c.full != nil && c.inj.Hit(c.full):
+	case c.inj.Hit(ENOSPC{}):
 		return nil, fmt.Errorf("chaos: injected write failure (no space left on device)")
-	case c.trunc != nil && c.inj.Hit(c.trunc):
+	case c.inj.Hit(Truncate{}):
 		return append([]byte(nil), raw[:len(raw)/2]...), nil
-	case c.flip != nil && c.inj.Hit(c.flip) && len(raw) > 0:
+	case c.inj.Hit(BitFlip{}) && len(raw) > 0:
 		out := append([]byte(nil), raw...)
-		bit := c.inj.Draw(c.flip) % uint64(len(out)*8)
+		bit := c.inj.Draw(BitFlip{}) % uint64(len(out)*8)
 		out[bit/8] ^= 1 << (bit % 8)
 		return out, nil
 	}

@@ -1,12 +1,11 @@
 // Package chaos is the seeded, fully deterministic fault-injection
-// layer behind `bpsim/attacksim -chaos` and cmd/chaosbench. It threads
-// synthetic failures through the engine's existing seams — the run
-// cache's file writes (bit flips, truncation, ENOSPC), the snapshot
-// store's prefix blobs (corruption), and the pull fleet's worker loop
-// (crash mid-lease, heartbeat loss, duplicate completions, leader
-// restart) — without those packages ever importing this one: each seam
-// exposes a small hook interface (runcache.FileFault,
-// fleet.WorkerFaults) that chaos implements.
+// layer behind cmd/chaosbench. It threads synthetic failures through the
+// engine's existing seams — the run cache's record writes (bit flips,
+// truncation, ENOSPC) and the pull fleet's worker loop (crash mid-lease,
+// heartbeat loss, duplicate completions, leader restart) — without
+// those packages ever importing this one: each seam exposes a small
+// hook interface (runcache.FileFault, fleet.WorkerFaults) that chaos
+// implements.
 //
 // Every decision flows from a FaultPlan: a seed plus per-fault rules.
 // Each rule owns an independent SplitMix64 stream derived from the plan
@@ -21,8 +20,7 @@ package chaos
 // appear in reports and documentation; injection sites consult concrete
 // fault kinds, not seams.
 const (
-	SeamCacheFile = "cachefile" // runcache entry writes
-	SeamSnapshot  = "snapshot"  // snapshot-store prefix blobs
+	SeamCacheFile = "cachefile" // runcache record writes
 	SeamFleet     = "fleet"     // pull-queue worker/leader lifecycle
 )
 
@@ -34,35 +32,28 @@ type Fault interface {
 	Seam() string
 }
 
-// BitFlip flips one deterministic bit in a cache entry on its way to
-// disk: the in-memory copy stays good, and the next Open must detect
-// the corruption by checksum and quarantine the file.
+// BitFlip flips one deterministic bit in a cache record on its way to
+// disk: the in-memory copy stays good, and the next Open must reject the
+// record by its checksum and count it quarantined.
 type BitFlip struct{}
 
 func (BitFlip) Name() string { return "bitflip" }
 func (BitFlip) Seam() string { return SeamCacheFile }
 
-// Truncate cuts a cache entry's file to half its length mid-write,
-// modeling a crash between write and rename being made visible.
+// Truncate writes only the first half of a cache record, modeling a
+// process killed in the middle of its append: the torn record must cost
+// only itself at the next Open.
 type Truncate struct{}
 
 func (Truncate) Name() string { return "truncate" }
 func (Truncate) Seam() string { return SeamCacheFile }
 
-// ENOSPC fails a cache entry write outright, as a full disk would. The
+// ENOSPC fails a cache record write outright, as a full disk would. The
 // store keeps the entry in memory and counts the put error.
 type ENOSPC struct{}
 
 func (ENOSPC) Name() string { return "enospc" }
 func (ENOSPC) Seam() string { return SeamCacheFile }
-
-// SnapCorrupt flips one deterministic bit in a snapshot-store prefix
-// blob on its way to disk; restore-from-prefix must fall back to a
-// cold simulation with identical results.
-type SnapCorrupt struct{}
-
-func (SnapCorrupt) Name() string { return "snapcorrupt" }
-func (SnapCorrupt) Seam() string { return SeamSnapshot }
 
 // WorkerCrash kills a pull worker mid-batch: unfinished specs are
 // neither completed nor nacked, the heartbeat stops, and the fleet
@@ -88,7 +79,8 @@ func (DupComplete) Seam() string { return SeamFleet }
 
 // LeaderRestart tells an orchestrating harness (cmd/chaosbench) to
 // kill and restart the pull-queue leader at this decision point; the
-// restarted sweep must resume from its journal with workers rejoining.
+// restarted sweep must replay the finished cells from the run cache and
+// simulate only the remainder, with workers rejoining.
 type LeaderRestart struct{}
 
 func (LeaderRestart) Name() string { return "leaderrestart" }
@@ -105,8 +97,6 @@ func FaultByName(name string) (Fault, bool) {
 		return Truncate{}, true
 	case ENOSPC{}.Name():
 		return ENOSPC{}, true
-	case SnapCorrupt{}.Name():
-		return SnapCorrupt{}, true
 	case WorkerCrash{}.Name():
 		return WorkerCrash{}, true
 	case HeartbeatLoss{}.Name():
@@ -127,7 +117,6 @@ func FaultNames() []string {
 		"bitflip",
 		"truncate",
 		"enospc",
-		"snapcorrupt",
 		"workercrash",
 		"heartbeatloss",
 		"dupcomplete",

@@ -57,8 +57,8 @@ func TestDecodePlanStrict(t *testing.T) {
 	}
 }
 
-// TestLoadPlan: the -chaos flag path, including a clear error for a
-// missing file.
+// TestLoadPlan: the chaosbench -plan path, including a clear error for
+// a missing file.
 func TestLoadPlan(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "plan.json")
 	if err := os.WriteFile(path, FaultPlan{Seed: 9}.Encode(), 0o644); err != nil {
@@ -78,7 +78,7 @@ func TestLoadPlan(t *testing.T) {
 // analyzer enforces the same statically; this keeps it honest at run
 // time too.)
 func TestFaultRegistryRoundTrip(t *testing.T) {
-	seams := map[string]bool{SeamCacheFile: true, SeamSnapshot: true, SeamFleet: true}
+	seams := map[string]bool{SeamCacheFile: true, SeamFleet: true}
 	for _, name := range FaultNames() {
 		f, ok := FaultByName(name)
 		if !ok {
@@ -223,20 +223,5 @@ func TestCacheFaults(t *testing.T) {
 	out, err = newCF().WriteEntry("k", raw)
 	if err != nil || !bytes.Equal(out, raw) {
 		t.Fatal("empty plan perturbed a write")
-	}
-
-	// The snapshot variant only corrupts; it never truncates or errors.
-	in, err := NewInjector(FaultPlan{Seed: 11, Rules: []Rule{
-		{Fault: "snapcorrupt", Rate: 1, Count: 1},
-		{Fault: "enospc", Rate: 1},
-		{Fault: "truncate", Rate: 1},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sf := NewSnapFaults(in)
-	out, err = sf.WriteEntry("k", raw)
-	if err != nil || len(out) != len(raw) || bytes.Equal(out, raw) {
-		t.Fatalf("snap faults: err %v, len %d, changed %v", err, len(out), !bytes.Equal(out, raw))
 	}
 }

@@ -99,7 +99,7 @@ func DecodePlan(raw []byte) (FaultPlan, error) {
 	return p, nil
 }
 
-// LoadPlan reads and decodes a plan file (the -chaos flag).
+// LoadPlan reads and decodes a plan file (chaosbench -plan).
 func LoadPlan(path string) (FaultPlan, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {

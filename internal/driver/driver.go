@@ -26,15 +26,11 @@ type Summary struct {
 	// WorkerCached counts dispatched runs the pull fleet answered
 	// from its own stores (a subset of Simulated, which tallies
 	// dispatches — the driver cannot see inside the backend).
-	WorkerCached uint64 `json:"worker_cached,omitempty"`
-	// Resumed counts cells pre-resolved from the sweep journal
-	// (-resume).
-	Resumed int     `json:"resumed,omitempty"`
-	WallMS  float64 `json:"wall_ms"`
-	Backend string  `json:"backend"`          // "local" or "pull"
-	Policy  string  `json:"policy,omitempty"` // dispatch policy in force
-	Workers int     `json:"workers"`
-	Shard   string  `json:"shard,omitempty"`
+	WorkerCached uint64  `json:"worker_cached,omitempty"`
+	WallMS       float64 `json:"wall_ms"`
+	Backend      string  `json:"backend"` // "local" or "pull"
+	Workers      int     `json:"workers"`
+	Shard        string  `json:"shard,omitempty"`
 }
 
 // Summarize assembles the summary record from the executor's counters
@@ -49,11 +45,9 @@ func Summarize(exec *experiment.Executor, conn *Conn,
 		Skipped:   exec.Skipped(),
 		WallMS:    float64(time.Since(wallStart)) / float64(time.Millisecond), //bpvet:allow wall-clock telemetry in the summary line; never part of a result or cache key
 		Backend:   conn.Name,
-		Policy:    conn.Policy,
 		Workers:   exec.Workers(),
 	}
 	rec.WorkerCached = conn.WorkerCached()
-	rec.Resumed = exec.Primed()
 	if shardN > 1 {
 		rec.Shard = fmt.Sprintf("%d/%d", shardI, shardN)
 	}

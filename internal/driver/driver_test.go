@@ -26,9 +26,8 @@ func TestConnectLocal(t *testing.T) {
 	if conn.PoolSize != 7 || conn.Name != "local" {
 		t.Fatalf("local connect = (%d, %q), want (7, local)", conn.PoolSize, conn.Name)
 	}
-	if conn.Policy != "" || conn.WorkerCached() != 0 || conn.Queue() != nil {
-		t.Fatalf("local conn carries fleet state: policy %q, worker-cached %d",
-			conn.Policy, conn.WorkerCached())
+	if conn.WorkerCached() != 0 || conn.Queue() != nil {
+		t.Fatalf("local conn carries fleet state: worker-cached %d", conn.WorkerCached())
 	}
 }
 
@@ -91,10 +90,10 @@ func TestConnectPullMatchesSerial(t *testing.T) {
 	conn := Connect(ConnectOptions{Prog: "test",
 		Fleet: &FleetFlags{Fleet: &addr, Lease: &lease, TLSCert: &none, TLSKey: &none}})
 	defer conn.Close()
-	if conn.Backend == nil || conn.Name != "pull" || conn.Policy != "pull" ||
+	if conn.Backend == nil || conn.Name != "pull" ||
 		conn.PoolSize != defaultFleetPool || conn.Queue() == nil || conn.Addr == "" {
-		t.Fatalf("fleet connect = (%q, %q, pool %d, addr %q), want a pull leader",
-			conn.Name, conn.Policy, conn.PoolSize, conn.Addr)
+		t.Fatalf("fleet connect = (%q, pool %d, addr %q), want a pull leader",
+			conn.Name, conn.PoolSize, conn.Addr)
 	}
 
 	w := fleet.NewPullWorker(conn.Addr, "w0", experiment.LocalBackend{}, nil, 0, 2)

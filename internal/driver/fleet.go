@@ -55,9 +55,6 @@ type Conn struct {
 	// Name labels the topology in the summary record: "local" or
 	// "pull".
 	Name string
-	// Policy is the dispatch policy in force ("" when local; "pull" for
-	// the queue).
-	Policy string
 	// Addr is the leader's listen address (host:port), the one workers
 	// are pointed at; "" when local.
 	Addr string
@@ -157,7 +154,7 @@ func connectFleet(prog, addr, token string, leaseDur time.Duration,
 		poolSize = defaultFleetPool
 	}
 	fb := leader.Backend()
-	return &Conn{Backend: fb, PoolSize: poolSize, Name: "pull", Policy: "pull",
+	return &Conn{Backend: fb, PoolSize: poolSize, Name: "pull",
 		Addr: ln.Addr().String(), queue: q, fb: fb, hs: hs}
 }
 

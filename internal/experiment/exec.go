@@ -101,15 +101,9 @@ type Executor struct {
 	record func(RunRecord)
 	rmu    sync.Mutex // serializes record-hook invocations
 
-	// journal, when set, receives every resolved (key, result) pair —
-	// the crash-safe sweep WAL's feed (driver.Journal). The sink
-	// serializes its own writes.
-	journal JournalSink
-	// primed holds results pre-resolved from a sweep journal (Prime):
-	// consulted like the store, counted as replays. Written only
-	// before the first batch, read-only afterward, so batches read it
-	// without locking.
-	primed map[string]RunResult
+	// observer, when set, receives every resolved (key, result) pair
+	// (SetJournal). The sink serializes its own bookkeeping.
+	observer JournalSink
 
 	// snaps backs cross-cell prefix sharing (see fork.go): misses that
 	// differ only in re-key period are chained so each extends the
@@ -210,7 +204,7 @@ func NewExecutorWith(workers int, backend Backend) *Executor {
 		planned:  make(map[runKey]string),
 		warm:     make(map[runKey]bool),
 		skipped:  make(map[runKey]struct{}),
-		snaps:    NewSnapStore(nil),
+		snaps:    NewSnapStore(),
 	}
 }
 
@@ -243,46 +237,29 @@ func (e *Executor) SetStore(st *runcache.Store) { e.store = st }
 func (e *Executor) Store() *runcache.Store { return e.store }
 
 // SetSnapshots replaces the divergence-snapshot store backing prefix
-// sharing: attach NewSnapStore(store) to persist prefixes across
-// processes, or nil to disable forking and run every cell cold. Set
-// before the first batch runs.
+// sharing; nil disables forking and runs every cell cold. Set before the
+// first batch runs.
 func (e *Executor) SetSnapshots(ss *SnapStore) { e.snaps = ss }
 
 // Snapshots returns the divergence-snapshot store (nil when forking is
 // disabled).
 func (e *Executor) Snapshots() *SnapStore { return e.snaps }
 
-// JournalSink receives every resolved spec — executed, replayed from
-// the store, or primed — keyed by canonical wire key. driver.Journal
-// implements it as an append-only WAL so a killed sweep can resume
-// simulating only the remainder. Implementations must tolerate
-// duplicate keys (idempotent append) and serialize their own writes.
+// JournalSink observes results: it receives every resolved spec, executed
+// or replayed from the store, keyed by canonical wire key. Calls may come
+// from several workers at once, so implementations serialize their own
+// bookkeeping.
 type JournalSink interface {
 	Completed(key string, res RunResult)
 }
 
-// SetJournal attaches the sweep journal sink. Install before the first
-// batch runs.
-func (e *Executor) SetJournal(j JournalSink) { e.journal = j }
-
-// Prime pre-resolves a wire key with a result replayed from a sweep
-// journal: a planned cell whose wire key is primed replays instead of
-// simulating, exactly like a persistent-store hit (counted as a
-// replay). Call before the first batch runs — priming is not safe
-// concurrently with batches.
-func (e *Executor) Prime(key string, res RunResult) {
-	if e.primed == nil {
-		e.primed = make(map[string]RunResult)
-	}
-	e.primed[key] = res
-}
-
-// Primed returns how many wire keys have been pre-resolved via Prime.
-func (e *Executor) Primed() int { return len(e.primed) }
+// SetJournal attaches a result observer. Install before the first batch
+// runs.
+func (e *Executor) SetJournal(j JournalSink) { e.observer = j }
 
 // PlannedKeys returns the wire keys of every planned spec whose key is
 // known (Plan records them; specs first seen by a live batch before
-// planning have none yet), sorted for deterministic journaling.
+// planning have none yet), sorted.
 func (e *Executor) PlannedKeys() []string {
 	e.mu.Lock()
 	keys := make([]string, 0, len(e.planned))
@@ -489,7 +466,7 @@ func (e *Executor) RunBatch(specs []runSpec) []RunResult {
 	// store — all outside e.mu, so neither the marshal+SHA-256 nor the
 	// store's own lock extends the executor's critical section.
 	hashKeys := e.store != nil || e.record != nil || e.shardN > 1 ||
-		e.journal != nil || len(e.primed) > 0
+		e.observer != nil
 	for c := range cands {
 		cands[c].w = specToWire(specs[cands[c].i])
 		if hashKeys {
@@ -544,12 +521,7 @@ func (e *Executor) RunBatch(specs []runSpec) []RunResult {
 	}
 	e.mu.Unlock()
 	for _, rep := range replays {
-		// Journal replays too (the sink dedups): a resumed or warm sweep
-		// leaves a journal complete enough to resume from on its own,
-		// whatever mix of cache, journal and simulation resolved it.
-		if e.journal != nil {
-			e.journal.Completed(rep.rec.Key, rep.r)
-		}
+		e.observe(rep.rec.Key, rep.r)
 		e.emit(rep.rec)
 	}
 
@@ -674,14 +646,14 @@ func (e *Executor) publish(s runSpec, k runKey, dk string, r RunResult, start ti
 	if e.store != nil {
 		e.storePut(dk, r)
 	}
-	e.journalDone(dk, r)
+	e.observe(dk, r)
 	e.emit(recordFor(s, dk, r, float64(dur)/float64(time.Millisecond), false))
 }
 
-// journalDone forwards one completion to the journal sink, if any.
-func (e *Executor) journalDone(dk string, r RunResult) {
-	if e.journal != nil {
-		e.journal.Completed(dk, r)
+// observe forwards one resolved result to the observer, if any.
+func (e *Executor) observe(dk string, r RunResult) {
+	if e.observer != nil {
+		e.observer.Completed(dk, r)
 	}
 }
 
@@ -707,19 +679,12 @@ func (e *Executor) release(k runKey) {
 	e.mu.Unlock()
 }
 
-// decodeStored consults the journal-primed results, then the
-// persistent store, for a wire key. The store's content is
-// memory-resident after Open, so this is a map lookup plus a decode.
-// An undecodable value (which load-time validation makes unlikely) is
-// treated as a miss and overwritten by the re-run.
+// decodeStored consults the persistent store for a wire key. The
+// store's content is memory-resident after Open, so this is a map lookup
+// plus a decode. An undecodable value (which load-time validation makes
+// unlikely) is treated as a miss and overwritten by the re-run.
 func (e *Executor) decodeStored(dk string) (RunResult, bool) {
-	if dk == "" {
-		return RunResult{}, false
-	}
-	if r, ok := e.primed[dk]; ok {
-		return r, true
-	}
-	if e.store == nil {
+	if dk == "" || e.store == nil {
 		return RunResult{}, false
 	}
 	raw, ok := e.store.Get(dk)

@@ -23,9 +23,9 @@ package experiment
 //     the divergence snapshot is taken at the cycle-(P-1) boundary and
 //     the tail resumes with the rekey scheduled for cycle P.
 //
-// Snapshots also serialize through the schema-versioned runcache store
-// (SnapStore with a disk layer), so distributed shards and warm reruns
-// reuse prefixes across processes, not just within one.
+// Snapshots live in memory (SnapStore) for the executor's lifetime;
+// across processes the run cache already holds every finished cell, so a
+// rerun replays results instead of restoring prefixes.
 
 import (
 	"fmt"
@@ -34,9 +34,7 @@ import (
 
 	"xorbp/internal/core"
 	"xorbp/internal/cpu"
-	"xorbp/internal/runcache"
 	"xorbp/internal/snap"
-	"xorbp/internal/wire"
 	"xorbp/internal/workload"
 )
 
@@ -52,8 +50,8 @@ const (
 // sim is one performance run's lifecycle — construct, warm up, reset
 // stats, measure, assemble the result — restructured from the straight-
 // line run() into a resumable state machine so it can be stopped at an
-// arbitrary cycle, snapshotted, and continued (possibly in a different
-// process) with a byte-identical outcome.
+// arbitrary cycle, snapshotted, and continued with a byte-identical
+// outcome.
 type sim struct {
 	s    runSpec
 	smt  bool
@@ -270,83 +268,46 @@ func forkFamilies(specs []runSpec) (chains [][]int, singles []int) {
 	return chains, singles
 }
 
-// snapEpoch versions the binary snapshot layout itself, independent of
-// the wire schema: bump it when the snap encoding of any component
-// changes without a wire-visible field changing.
-const snapEpoch = 1
-
-// SnapSchema identifies the snapshot store encoding: the snapshot layout
-// epoch plus the full wire schema. Any spec field change re-keys prefix
-// identities, so stale snapshots can never be restored into a core built
-// from a newer spec shape.
-func SnapSchema() string {
-	return fmt.Sprintf("snap/%d/%s", snapEpoch, wire.SchemaVersion())
-}
-
 // snapKey names the snapshot of a prefix's state at a divergence cycle:
-// the prefix spec's canonical wire key plus the cycle, hashed under the
-// snapshot schema.
-func snapKey(prefixDK string, at uint64) string {
-	return runcache.Key(SnapSchema(), []byte(fmt.Sprintf("%s@%d", prefixDK, at)))
+// the prefix spec's canonical wire key plus the cycle.
+type snapKey struct {
+	prefixDK string
+	at       uint64
 }
 
-// SnapStore holds divergence-point snapshots: an in-memory layer that
-// always serves the current process's chains, over an optional runcache
-// layer that shares prefixes across processes (distributed shards, warm
-// reruns). Safe for concurrent use.
+// SnapStore holds the divergence-point snapshots the current process's
+// chains deposit. Safe for concurrent use.
 type SnapStore struct {
-	mu   sync.Mutex
-	mem  map[string][]byte
-	disk *runcache.Store
+	mu  sync.Mutex
+	mem map[snapKey][]byte
 }
 
-// NewSnapStore creates a snapshot store; disk may be nil for an
-// in-memory-only store.
-func NewSnapStore(disk *runcache.Store) *SnapStore {
-	return &SnapStore{mem: make(map[string][]byte), disk: disk}
+// NewSnapStore creates an empty snapshot store.
+func NewSnapStore() *SnapStore {
+	return &SnapStore{mem: make(map[snapKey][]byte)}
 }
 
-// Get returns the snapshot of prefixDK's state at divergence cycle at,
-// consulting memory first, then the disk layer (promoting a disk hit).
+// Get returns the snapshot of prefixDK's state at divergence cycle at.
 func (ss *SnapStore) Get(prefixDK string, at uint64) ([]byte, bool) {
-	k := snapKey(prefixDK, at)
 	ss.mu.Lock()
-	v, ok := ss.mem[k]
-	ss.mu.Unlock()
-	if ok {
-		return v, true
-	}
-	if ss.disk == nil {
-		return nil, false
-	}
-	v, ok = ss.disk.GetBinary(k)
-	if ok {
-		ss.mu.Lock()
-		ss.mem[k] = v
-		ss.mu.Unlock()
-	}
+	defer ss.mu.Unlock()
+	v, ok := ss.mem[snapKey{prefixDK, at}]
 	return v, ok
 }
 
-// Put deposits a snapshot. The in-memory layer keeps the first deposit
-// for a key (every depositor of a key writes identical bytes, so this is
-// only a cheap idempotence guard); the disk write is best-effort — a
-// failure costs a future re-simulation, never correctness.
+// Put deposits a snapshot, keeping the first deposit for a key (every
+// depositor of a key writes identical bytes, so this is only a cheap
+// idempotence guard).
 func (ss *SnapStore) Put(prefixDK string, at uint64, data []byte) {
-	k := snapKey(prefixDK, at)
 	ss.mu.Lock()
-	if _, dup := ss.mem[k]; dup {
-		ss.mu.Unlock()
-		return
-	}
-	ss.mem[k] = data
-	ss.mu.Unlock()
-	if ss.disk != nil {
-		_ = ss.disk.PutBinary(k, data)
+	defer ss.mu.Unlock()
+	k := snapKey{prefixDK, at}
+	if _, dup := ss.mem[k]; !dup {
+		ss.mem[k] = data
 	}
 }
 
-// Len returns the number of snapshots resident in memory.
+// Len returns the number of snapshots held.
 func (ss *SnapStore) Len() int {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
@@ -357,13 +318,11 @@ func (ss *SnapStore) Len() int {
 // already-snapshotted prefix. prior lists divergence cycles deposited
 // (or attempted) by earlier members of the chain, ascending; candidates
 // above the member's own period are unusable (their prefixes have
-// already re-keyed). The member probes its own divergence cycle first —
-// a warm rerun restores the full prefix and simulates only the tail —
-// then shorter prior cycles, then falls back to a cold start. If the
-// lifecycle completes before the divergence cycle the re-key never fires
-// and the result is final; otherwise the member deposits the snapshot at
-// its own divergence cycle for the rest of the family before finishing
-// its tail.
+// already re-keyed). The member restores the longest usable prior
+// prefix, or starts cold. If the lifecycle completes before the
+// divergence cycle the re-key never fires and the result is final;
+// otherwise the member deposits the snapshot at its own divergence cycle
+// for the rest of the family before finishing its tail.
 //
 // The result is byte-identical to run(s): restoration is exact, the
 // prefix cycles never observe a re-key in either path, and the tail
@@ -372,14 +331,11 @@ func (ss *SnapStore) Len() int {
 func runForked(s runSpec, prefixDK string, prior []uint64, snaps *SnapStore) RunResult {
 	p := rekeyOf(s)
 	m := newSim(s)
-	restoredAt := uint64(0)
-	cands := append(append([]uint64(nil), prior...), p)
-	for j := len(cands) - 1; j >= 0; j-- {
-		q := cands[j]
-		if q > p {
+	for j := len(prior) - 1; j >= 0; j-- {
+		if prior[j] > p {
 			continue
 		}
-		data, ok := snaps.Get(prefixDK, q)
+		data, ok := snaps.Get(prefixDK, prior[j])
 		if !ok {
 			continue
 		}
@@ -390,19 +346,14 @@ func runForked(s runSpec, prefixDK string, prior []uint64, snaps *SnapStore) Run
 		// The snapshot predates the prefix's first re-key; put this
 		// member's own schedule in force over the donor's.
 		m.c.ScheduleRekey(p)
-		restoredAt = q
 		break
 	}
-	switch {
-	case restoredAt == p:
-		// Already at the divergence boundary; only the tail remains.
-	case m.advance(p - 1):
+	if m.advance(p - 1) {
 		// Completed before the divergence cycle: the re-key never fires,
 		// the result is final, and there is no prefix worth depositing.
 		return m.result()
-	default:
-		snaps.Put(prefixDK, p, m.snapshot())
 	}
+	snaps.Put(prefixDK, p, m.snapshot())
 	m.advance(cpu.NoCycleLimit)
 	return m.result()
 }

@@ -10,7 +10,6 @@ import (
 
 	"xorbp/internal/core"
 	"xorbp/internal/cpu"
-	"xorbp/internal/runcache"
 	"xorbp/internal/workload"
 )
 
@@ -152,41 +151,6 @@ func TestSimSnapshotRestoreByteStable(t *testing.T) {
 	}
 }
 
-// TestSnapStoreDiskLayer: snapshots deposited through a disk-backed
-// SnapStore must be restorable by a second process (modeled as a fresh
-// SnapStore over the same runcache directory), and a fresh executor
-// reusing those prefixes must produce byte-identical results — the
-// distributed / warm-rerun path.
-func TestSnapStoreDiskLayer(t *testing.T) {
-	dir := t.TempDir()
-	open := func() *runcache.Store {
-		st, err := runcache.Open(dir, SnapSchema())
-		if err != nil {
-			t.Fatalf("open snap store: %v", err)
-		}
-		return st
-	}
-	specs := []runSpec{rekeySpec(8_000, microScale()), rekeySpec(30_000, microScale())}
-
-	first := NewExecutor(1)
-	first.SetSnapshots(NewSnapStore(open()))
-	want := first.RunBatch(specs)
-	if first.Snapshots().Len() == 0 {
-		t.Fatal("no snapshots deposited")
-	}
-
-	second := NewExecutor(1)
-	disk := open()
-	second.SetSnapshots(NewSnapStore(disk))
-	got := second.RunBatch(specs)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("second process produced different results:\nfirst:  %+v\nsecond: %+v", want, got)
-	}
-	if disk.Stats().Hits == 0 {
-		t.Fatal("second process never restored a prefix from disk")
-	}
-}
-
 // TestRekeySweepDeterministicAcrossWorkers: the forked sweep rendered
 // serially and with a worker pool must be byte-identical (the fork
 // chains schedule deterministically regardless of concurrency).
@@ -265,7 +229,7 @@ func TestForkSweepGate(t *testing.T) {
 	ratios := make([]float64, rounds)
 	var straight, forked time.Duration
 	for r := range ratios {
-		snaps := NewSnapStore(nil)
+		snaps := NewSnapStore()
 		var prior []uint64
 		straight, forked = 0, 0
 		for _, p := range periods {

@@ -1,9 +1,12 @@
 package experiment
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"xorbp/internal/runcache"
@@ -58,6 +61,55 @@ func TestExecutorStoreRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(first, second) {
 		t.Fatalf("replayed results differ:\n%+v\nvs\n%+v", first, second)
+	}
+}
+
+// killedAfter runs its first n specs in-process and fails every later
+// one, as a sweep whose process dies part-way through.
+type killedAfter struct {
+	n     int64
+	calls atomic.Int64
+}
+
+func (b *killedAfter) Run(ctx context.Context, spec wire.Spec) (RunResult, error) {
+	if b.calls.Add(1) > b.n {
+		return RunResult{}, errors.New("process killed")
+	}
+	return LocalBackend{}.Run(ctx, spec)
+}
+
+// TestResumeFromStoreAfterFailure: a sweep that dies after n cells has
+// written those n results to its store; run again on the reopened
+// directory, it replays exactly those n, simulates exactly the rest, and
+// ends with the results of an uninterrupted run.
+func TestResumeFromStoreAfterFailure(t *testing.T) {
+	dir := t.TempDir()
+	specs := testSpecs(microScale())
+	want := NewExecutor(1).RunBatch(specs)
+	const n = 2
+
+	st, err := runcache.Open(dir, SchemaVersion())
+	if err != nil {
+		t.Fatal(err)
+	}
+	killed := NewExecutorWith(2, &killedAfter{n: n})
+	killed.SetStore(st)
+	killed.RunBatch(specs)
+	if killed.Err() == nil {
+		t.Fatal("the backend failure did not surface")
+	}
+	if killed.Runs() != n || st.Len() != n {
+		t.Fatalf("killed sweep finished %d cells and stored %d, want %d", killed.Runs(), st.Len(), n)
+	}
+
+	resumed := storedExec(t, dir, 2)
+	got := resumed.RunBatch(specs)
+	if resumed.Replays() != n || resumed.Runs() != uint64(len(specs)-n) {
+		t.Fatalf("resumed sweep replayed %d and simulated %d, want %d and %d",
+			resumed.Replays(), resumed.Runs(), n, len(specs)-n)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("resumed results differ from an uninterrupted run:\n%+v\nvs\n%+v", got, want)
 	}
 }
 

@@ -471,8 +471,8 @@ func TestClaimSchemaMismatch(t *testing.T) {
 }
 
 // TestPullLeaderRestartWorkerRejoins: the leader process dies and comes
-// back on the same address with a fresh queue (as the journal-recovery
-// path restarts it); a running worker rides out the outage on its retry
+// back on the same address with a fresh queue (as a leader rerun on its
+// run cache does); a running worker rides out the outage on its retry
 // loop and picks up the resubmitted work without being restarted itself.
 func TestPullLeaderRestartWorkerRejoins(t *testing.T) {
 	l1, err := net.Listen("tcp", "127.0.0.1:0")

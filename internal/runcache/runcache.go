@@ -268,33 +268,6 @@ func (s *Store) Put(key string, value []byte) error {
 // Set before the store sees concurrent traffic.
 func (s *Store) SetFileFault(f FileFault) { s.fault = f }
 
-// PutBinary stores an opaque binary payload under key. The value is the
-// payload's JSON base64 encoding, so binary entries (e.g. simulator
-// snapshots) ride the same record format — and the same quarantine
-// rules — as JSON results.
-func (s *Store) PutBinary(key string, data []byte) error {
-	v, err := json.Marshal(data)
-	if err != nil {
-		return fmt.Errorf("runcache: %w", err)
-	}
-	return s.Put(key, v)
-}
-
-// GetBinary returns the binary payload stored under key via PutBinary.
-// An entry whose value does not decode as a base64 string is treated as
-// a miss, exactly like an undecodable result entry.
-func (s *Store) GetBinary(key string) ([]byte, bool) {
-	raw, ok := s.Get(key)
-	if !ok {
-		return nil, false
-	}
-	var data []byte
-	if json.Unmarshal(raw, &data) != nil {
-		return nil, false
-	}
-	return data, true
-}
-
 // Key derives the store key for a payload under this store's schema.
 func (s *Store) Key(payload []byte) string { return Key(s.schema, payload) }
 

@@ -269,35 +269,6 @@ func TestCRCMismatchQuarantined(t *testing.T) {
 	}
 }
 
-// TestBinaryEntriesChecksummed: PutBinary blobs ride the same record
-// format, so they round-trip across Opens and corrupting one on disk
-// keeps it from replaying like any result entry.
-func TestBinaryEntriesChecksummed(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, "schema-a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob := []byte{0x00, 0x01, 0xFE, 0xFF, 0x42}
-	key := s.Key([]byte("snap"))
-	if err := s.PutBinary(key, blob); err != nil {
-		t.Fatal(err)
-	}
-	s2 := mustOpen(t, dir, "schema-a", 1, 0)
-	got, ok := s2.GetBinary(key)
-	if !ok || string(got) != string(blob) {
-		t.Fatalf("GetBinary = %v, %v", got, ok)
-	}
-
-	// Swap the base64 payload for a different valid one under the stale
-	// CRC; the checksum, not the decoder, must reject it.
-	rewrite(t, s, `"AAH+/0I="`, `"AAH+/0M="`)
-	s3 := mustOpen(t, dir, "schema-a", 0, 1)
-	if _, ok := s3.GetBinary(key); ok {
-		t.Fatal("a tampered binary entry replayed")
-	}
-}
-
 // faultStub is a test FileFault: it errors when failing is set,
 // otherwise applies damage (default: flip the last byte) to the writes
 // whose 1-based number is in only (every write when only is empty).

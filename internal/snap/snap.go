@@ -10,11 +10,9 @@
 // The format is a flat little-endian byte stream with no self-description:
 // writer and reader must agree on the field sequence, which they do by
 // construction — every component's Snapshot and Restore methods are
-// adjacent in its own package and visit fields in the same order. Schema
-// drift across builds is caught one level up: stored snapshots are wrapped
-// in a schema-versioned runcache entry whose version string includes both
-// the wire schema (spec layout) and the snapshot format epoch, so any
-// incompatible change quarantines old entries instead of misdecoding them.
+// adjacent in its own package and visit fields in the same order.
+// Snapshots are never stored: they live in memory in the process that
+// took them, so they cannot drift across builds.
 //
 // Readers are hardened against arbitrary input: every read is bounds
 // checked, declared lengths are validated against the bytes actually
