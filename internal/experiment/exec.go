@@ -29,9 +29,10 @@ type runKey struct {
 	kind string
 	// opts holds the spec's options with the Codec and Scrambler
 	// interface fields blanked; their identities live in codec/scrambler
-	// below. Keying the interfaces by dynamic type name keeps runKey
-	// usable as a map key even if a future Codec carries un-comparable
-	// state (every current implementation is a stateless struct).
+	// below. Keying the interfaces by registry name — the identity the
+	// wire form carries — keeps runKey usable as a map key even if a
+	// future Codec carries un-comparable state (every current
+	// implementation is a stateless struct).
 	opts      core.Options
 	codec     string
 	scrambler string
@@ -51,14 +52,16 @@ type runKey struct {
 // specKey builds the cache key for a fully-populated spec (scale set).
 // Options are normalized first, so a zero Scope/Codec/Scrambler and the
 // explicit paper defaults — which the controller runs identically — map
-// to the same cache entry.
+// to the same cache entry. The key holds exactly the fields specToWire
+// encodes, so equal keys have equal wire keys: RunBatch relies on this
+// when it reuses the wire key Plan stored for a key.
 func specKey(s runSpec) runKey {
 	o := s.opts.Normalized()
 	k := runKey{
 		kind:      s.kind,
 		opts:      o,
-		codec:     fmt.Sprintf("%T", o.Codec),
-		scrambler: fmt.Sprintf("%T", o.Scrambler),
+		codec:     o.Codec.Name(),     //bpvet:allow Codec.Name implementations are compile-time string literals; the registry round-trip test pins them
+		scrambler: o.Scrambler.Name(), //bpvet:allow Scrambler.Name implementations are compile-time string literals; the registry round-trip test pins them
 		predName:  s.predName,
 		cfg:       s.cfg,
 		timer:     s.timer,
@@ -122,9 +125,10 @@ type Executor struct {
 	// a second time.
 	inflight map[runKey]chan struct{}
 	// planned holds every distinct spec declared (via Plan) or seen by a
-	// batch, mapped to its wire key when known ("" otherwise); progress
-	// lines and the ETA are computed against it, so a pre-planned session
-	// reports x/total over the whole grid rather than per batch.
+	// batch, mapped to its wire key when known ("" otherwise); RunBatch
+	// reuses a known key instead of deriving it again. Progress lines and
+	// the ETA are computed against it, so a pre-planned session reports
+	// x/total over the whole grid rather than per batch.
 	planned map[runKey]string
 	// warm holds planned specs that were resident in the persistent
 	// store at Plan time and are not yet resolved: they will replay, not
@@ -436,41 +440,41 @@ func (e *Executor) RunBatch(specs []runSpec) []RunResult {
 		return make([]RunResult, len(specs))
 	}
 
-	// Plan, phase 1: collect the distinct memo-cache misses.
+	// Plan, phase 1: collect the distinct memo-cache misses, each with
+	// the wire key Plan stored for it ("" for a spec no planner saw).
 	type candidate struct {
-		i  int
-		k  runKey
-		w  wire.Spec
-		dk string // persistent-store key hash, computed off-lock below
-		r  RunResult
-		ok bool // r was replayed from the store
+		i  int       // index into keys and specs
+		dk string    // persistent-store key hash
+		r  RunResult // the stored result, when ok
+		ok bool      // r was replayed from the store
 	}
 	var cands []candidate
 	seen := make(map[runKey]bool)
 	e.mu.Lock()
 	for i, k := range keys {
-		if _, ok := e.planned[k]; !ok {
+		dk, planned := e.planned[k]
+		if !planned {
 			e.planned[k] = ""
 		}
 		if _, hit := e.cache[k]; hit || seen[k] {
 			continue
 		}
 		seen[k] = true
-		cands = append(cands, candidate{i: i, k: k})
+		cands = append(cands, candidate{i: i, dk: dk})
 	}
 	e.mu.Unlock()
 
-	// Plan, phase 2: render each candidate's wire form (the backend
-	// contract), hash it where needed (the hash names the run in records,
-	// keys the store, and assigns shards) and consult the persistent
-	// store — all outside e.mu, so neither the marshal+SHA-256 nor the
-	// store's own lock extends the executor's critical section.
+	// Plan, phase 2: derive the wire key of each unplanned candidate where
+	// it is needed (the hash names the run in records, keys the store, and
+	// assigns shards) and consult the persistent store — all outside e.mu,
+	// so neither the marshal+SHA-256 nor the store's own lock extends the
+	// executor's critical section. Only misses that dispatch get a wire
+	// form, after phase 3.
 	hashKeys := e.store != nil || e.record != nil || e.shardN > 1 ||
 		e.observer != nil
 	for c := range cands {
-		cands[c].w = specToWire(specs[cands[c].i])
-		if hashKeys {
-			cands[c].dk = cands[c].w.Key()
+		if cands[c].dk == "" && hashKeys {
+			cands[c].dk = specToWire(specs[cands[c].i]).Key()
 		}
 		cands[c].r, cands[c].ok = e.decodeStored(cands[c].dk)
 	}
@@ -479,50 +483,51 @@ func (e *Executor) RunBatch(specs []runSpec) []RunResult {
 	// shards, and claim the rest, re-checking against batches that raced
 	// ahead between the phases. Misses already claimed by a
 	// concurrently-running batch are not simulated again; we wait for
-	// their channels before assembling.
-	type replayed struct {
-		rec RunRecord
-		r   RunResult
-	}
+	// their channels before assembling. The replays are compacted into
+	// the front of cands.
 	var (
-		missSpecs []runSpec
-		missKeys  []runKey
-		missDKs   []string
-		missWire  []wire.Spec
-		waits     []chan struct{}
-		replays   []replayed
+		misses []candidate
+		waits  []chan struct{}
 	)
+	replays := cands[:0]
 	e.mu.Lock()
 	for _, c := range cands {
-		if _, hit := e.cache[c.k]; hit {
+		k := keys[c.i]
+		if _, hit := e.cache[k]; hit {
 			continue // a concurrent batch resolved it meanwhile
 		}
-		if ch, busy := e.inflight[c.k]; busy {
+		if ch, busy := e.inflight[k]; busy {
 			waits = append(waits, ch)
 			continue
 		}
 		if c.ok {
-			e.cache[c.k] = c.r
+			e.cache[k] = c.r
 			e.replays++
-			delete(e.warm, c.k)
-			replays = append(replays, replayed{recordFor(specs[c.i], c.dk, c.r, 0, true), c.r})
+			delete(e.warm, k)
+			replays = append(replays, c)
 			continue
 		}
 		if e.shardN > 1 && shardOf(c.dk, e.shardN) != e.shardI {
-			e.skipped[c.k] = struct{}{}
-			delete(e.warm, c.k)
+			e.skipped[k] = struct{}{}
+			delete(e.warm, k)
 			continue
 		}
-		e.inflight[c.k] = make(chan struct{})
-		missSpecs = append(missSpecs, specs[c.i])
-		missKeys = append(missKeys, c.k)
-		missDKs = append(missDKs, c.dk)
-		missWire = append(missWire, c.w)
+		e.inflight[k] = make(chan struct{})
+		misses = append(misses, c)
 	}
 	e.mu.Unlock()
-	for _, rep := range replays {
-		e.observe(rep.rec.Key, rep.r)
-		e.emit(rep.rec)
+	for _, c := range replays {
+		e.observe(c.dk, c.r)
+		e.emit(&specs[c.i], c.dk, c.r, 0, true)
+	}
+
+	// The wire form of each miss is the backend contract; the fork path
+	// decodes it too.
+	missSpecs := make([]runSpec, len(misses))
+	missWire := make([]wire.Spec, len(misses))
+	for j, c := range misses {
+		missSpecs[j] = specs[c.i]
+		missWire[j] = specToWire(specs[c.i])
 	}
 
 	// Execute: fan the misses out across the backend as units. With the
@@ -560,7 +565,7 @@ func (e *Executor) RunBatch(specs []runSpec) []RunResult {
 			prior    []uint64 // divergence cycles deposited by earlier members
 		)
 		for _, i := range units[u].idxs {
-			k := missKeys[i]
+			k := keys[misses[i].i]
 			if e.Err() != nil {
 				// The fleet is already failing: release the claim so
 				// waiters unblock, without piling on more doomed
@@ -595,7 +600,7 @@ func (e *Executor) RunBatch(specs []runSpec) []RunResult {
 				e.release(k)
 				continue
 			}
-			e.publish(missSpecs[i], k, missDKs[i], r, start)
+			e.publish(&missSpecs[i], k, misses[i].dk, r, start)
 		}
 		return struct{}{}
 	})
@@ -617,7 +622,7 @@ func (e *Executor) RunBatch(specs []runSpec) []RunResult {
 // publish records one completed simulation: memo cache, in-flight claim
 // release, progress line, persistent store write-through, and the record
 // hook.
-func (e *Executor) publish(s runSpec, k runKey, dk string, r RunResult, start time.Time) {
+func (e *Executor) publish(s *runSpec, k runKey, dk string, r RunResult, start time.Time) {
 	dur := time.Since(start) //bpvet:allow progress/ETA telemetry; durations never reach results or keys
 	e.runs.Add(1)
 	// pmu is taken before e.mu (the only ordering used anywhere), so
@@ -639,7 +644,7 @@ func (e *Executor) publish(s runSpec, k runKey, dk string, r RunResult, start ti
 	if e.progress != nil {
 		//bpvet:locked(e.pmu) the progress line must be atomic with the counters read under e.mu above; pmu orders writers and is held only for one Fprintf to a local writer
 		fmt.Fprintf(e.progress, "[run %d/%d] %s (%v)%s\n",
-			done, planned, specLabel(s),
+			done, planned, specLabel(*s),
 			dur.Round(time.Millisecond), eta)
 		e.pmu.Unlock()
 	}
@@ -647,7 +652,7 @@ func (e *Executor) publish(s runSpec, k runKey, dk string, r RunResult, start ti
 		e.storePut(dk, r)
 	}
 	e.observe(dk, r)
-	e.emit(recordFor(s, dk, r, float64(dur)/float64(time.Millisecond), false))
+	e.emit(s, dk, r, float64(dur)/float64(time.Millisecond), false)
 }
 
 // observe forwards one resolved result to the observer, if any.
@@ -707,11 +712,13 @@ func (e *Executor) storePut(dk string, r RunResult) {
 	_ = e.store.Put(dk, r.Encode())
 }
 
-// emit delivers one RunRecord to the hook, serialized.
-func (e *Executor) emit(rec RunRecord) {
+// emit delivers the RunRecord of one resolved spec to the hook,
+// serialized. Without a hook no record is built.
+func (e *Executor) emit(s *runSpec, dk string, r RunResult, durMS float64, cached bool) {
 	if e.record == nil {
 		return
 	}
+	rec := recordFor(*s, dk, r, durMS, cached)
 	e.rmu.Lock()
 	e.record(rec) //bpvet:locked(e.rmu) rmu exists to serialize this hook call; the hook is caller-owned and documented to be brief and non-reentrant
 	e.rmu.Unlock()
