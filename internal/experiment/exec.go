@@ -73,6 +73,35 @@ func specKey(s runSpec) runKey {
 	return k
 }
 
+// cellState is where a cell stands: open (declared and unresolved, with
+// no batch working on it — where a released claim returns), claimed by
+// one batch (any other batch needing it waits on done), done (res is
+// final) or skipped under the shard assignment (res stays zero).
+type cellState uint8
+
+const (
+	cellOpen cellState = iota
+	cellClaimed
+	cellDone
+	cellSkipped
+)
+
+// cell is the executor's record of one distinct spec — memo entry,
+// in-flight claim and progress bookkeeping in one, so a batch looks each
+// spec up once.
+type cell struct {
+	dk    string // wire key; "" until derived
+	state cellState
+	// warm marks a cell store-resident at Plan time and not yet settled:
+	// it will replay, not simulate, so the ETA excludes it from its
+	// backlog. The flag clears however the cell settles, so a store entry
+	// vanishing between Plan and RunBatch (concurrent GC, corruption)
+	// cannot skew the count.
+	warm bool
+	res  RunResult
+	done chan struct{} // closed when the current claim ends
+}
+
 // Executor runs batches of simulations with a thread-safe memo cache,
 // dispatching every cache miss through a pluggable Backend: the
 // in-process bounded pool by default (LocalBackend), or a pull-queue
@@ -108,40 +137,20 @@ type Executor struct {
 	// (SetJournal). The sink serializes its own bookkeeping.
 	observer JournalSink
 
-	// snaps backs cross-cell prefix sharing (see fork.go): misses that
-	// differ only in re-key period are chained so each extends the
-	// longest snapshotted shared prefix instead of re-simulating it.
-	// In-memory by default; nil disables forking entirely.
-	snaps *SnapStore
-
 	mu sync.Mutex
 	// err is sticky: the first backend failure poisons the executor, and
 	// later batches short-circuit instead of piling more failures on a
 	// dead fleet.
-	err   error
-	cache map[runKey]RunResult
-	// inflight marks specs claimed by a running batch; a concurrent batch
-	// needing the same spec waits on the channel instead of simulating it
-	// a second time.
-	inflight map[runKey]chan struct{}
-	// planned holds every distinct spec declared (via Plan) or seen by a
-	// batch, mapped to its wire key when known ("" otherwise); RunBatch
-	// reuses a known key instead of deriving it again. Progress lines and
-	// the ETA are computed against it, so a pre-planned session reports
-	// x/total over the whole grid rather than per batch.
-	planned map[runKey]string
-	// warm holds planned specs that were resident in the persistent
-	// store at Plan time and are not yet resolved: they will replay, not
-	// simulate, so the ETA excludes them from its backlog. Keys are
-	// deleted as their cells resolve — however they resolve, so a store
-	// entry vanishing between Plan and RunBatch (concurrent GC,
-	// corruption) cannot skew the count.
-	warm map[runKey]bool
-	// skipped holds the distinct specs this executor declined under its
-	// shard assignment.
-	skipped map[runKey]struct{}
-	// replays counts persistent-store replays published by this executor.
-	replays int
+	err error
+	// cells holds every distinct spec declared (via Plan) or seen by a
+	// batch. Progress lines and the ETA are computed against it, so a
+	// pre-planned session reports x/total over the whole grid rather
+	// than per batch.
+	cells map[runKey]*cell
+	// resolved, skipped and warm count the cells done, skipped and
+	// flagged warm; replays counts persistent-store replays published by
+	// this executor.
+	resolved, skipped, warm, replays int
 	// simStart/simsDone drive the ETA estimate: observed simulation
 	// throughput since the first simulation began.
 	simStart time.Time
@@ -200,15 +209,10 @@ func NewExecutorWith(workers int, backend Backend) *Executor {
 		backend = LocalBackend{}
 	}
 	return &Executor{
-		workers:  workers,
-		backend:  backend,
-		sem:      make(chan struct{}, workers),
-		cache:    make(map[runKey]RunResult),
-		inflight: make(map[runKey]chan struct{}),
-		planned:  make(map[runKey]string),
-		warm:     make(map[runKey]bool),
-		skipped:  make(map[runKey]struct{}),
-		snaps:    NewSnapStore(),
+		workers: workers,
+		backend: backend,
+		sem:     make(chan struct{}, workers),
+		cells:   make(map[runKey]*cell),
 	}
 }
 
@@ -240,15 +244,6 @@ func (e *Executor) SetStore(st *runcache.Store) { e.store = st }
 // Store returns the attached persistent store (nil if none).
 func (e *Executor) Store() *runcache.Store { return e.store }
 
-// SetSnapshots replaces the divergence-snapshot store backing prefix
-// sharing; nil disables forking and runs every cell cold. Set before the
-// first batch runs.
-func (e *Executor) SetSnapshots(ss *SnapStore) { e.snaps = ss }
-
-// Snapshots returns the divergence-snapshot store (nil when forking is
-// disabled).
-func (e *Executor) Snapshots() *SnapStore { return e.snaps }
-
 // JournalSink observes results: it receives every resolved spec, executed
 // or replayed from the store, keyed by canonical wire key. Calls may come
 // from several workers at once, so implementations serialize their own
@@ -261,15 +256,15 @@ type JournalSink interface {
 // runs.
 func (e *Executor) SetJournal(j JournalSink) { e.observer = j }
 
-// PlannedKeys returns the wire keys of every planned spec whose key is
-// known (Plan records them; specs first seen by a live batch before
-// planning have none yet), sorted.
+// PlannedKeys returns the known wire keys of every declared or seen
+// spec, sorted: Plan records each planned spec's key, and a batch the
+// key of each spec it had to hash.
 func (e *Executor) PlannedKeys() []string {
 	e.mu.Lock()
-	keys := make([]string, 0, len(e.planned))
-	for _, dk := range e.planned {
-		if dk != "" {
-			keys = append(keys, dk)
+	keys := make([]string, 0, len(e.cells))
+	for _, c := range e.cells {
+		if c.dk != "" {
+			keys = append(keys, c.dk)
 		}
 	}
 	e.mu.Unlock()
@@ -326,7 +321,7 @@ func (e *Executor) Err() error {
 }
 
 // Plan copies the distinct specs recorded by a planning executor into
-// e's planned set and returns the total now planned. Progress lines and
+// e's cell table and returns the total now declared. Progress lines and
 // the ETA are then computed over the whole declared grid instead of
 // growing batch by batch. If a persistent store is attached, the
 // planned keys are probed against it so the ETA's backlog counts only
@@ -334,47 +329,60 @@ func (e *Executor) Err() error {
 // reflects the handful of new cells, not the whole grid.
 func (e *Executor) Plan(planner *Executor) int {
 	type pk struct {
-		k  runKey
-		dk string
+		k    runKey
+		dk   string
+		warm bool
 	}
 	planner.mu.Lock()
-	pks := make([]pk, 0, len(planner.planned))
-	for k, dk := range planner.planned {
-		pks = append(pks, pk{k, dk})
+	pks := make([]pk, 0, len(planner.cells))
+	for k, c := range planner.cells {
+		pks = append(pks, pk{k: k, dk: c.dk})
 	}
 	planner.mu.Unlock()
 	// Probe the store outside e.mu: Contains is memory-speed, but the
 	// grid can be large and the store has its own lock.
-	var warm []runKey
 	if e.store != nil {
-		for _, p := range pks {
-			if p.dk != "" && e.store.Contains(p.dk) {
-				warm = append(warm, p.k)
-			}
+		for i := range pks {
+			pks[i].warm = pks[i].dk != "" && e.store.Contains(pks[i].dk)
 		}
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if len(e.cells) == 0 {
+		e.cells = make(map[runKey]*cell, len(pks))
+	}
 	for _, p := range pks {
-		if cur, ok := e.planned[p.k]; !ok || cur == "" {
-			e.planned[p.k] = p.dk
+		c := e.cellLocked(p.k)
+		if c.dk == "" {
+			c.dk = p.dk
+		}
+		// A cell already settled, or claimed by a running batch, is out
+		// of the backlog or about to leave it; marking it warm now would
+		// undercount forever.
+		if p.warm && c.state == cellOpen && !c.warm {
+			c.warm = true
+			e.warm++
 		}
 	}
-	for _, k := range warm {
-		// A cell resolved before Plan was called is already out of the
-		// backlog; marking it warm now would undercount forever.
-		if _, done := e.cache[k]; !done {
-			e.warm[k] = true
-		}
+	return len(e.cells)
+}
+
+// cellLocked returns k's cell, creating an open one on first sight.
+// Called with e.mu held.
+func (e *Executor) cellLocked(k runKey) *cell {
+	c, ok := e.cells[k]
+	if !ok {
+		c = &cell{}
+		e.cells[k] = c
 	}
-	return len(e.planned)
+	return c
 }
 
 // Planned returns the number of distinct specs declared or seen so far.
 func (e *Executor) Planned() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return len(e.planned)
+	return len(e.cells)
 }
 
 // Done returns the number of distinct specs resolved so far.
@@ -397,14 +405,14 @@ func (e *Executor) Replays() int {
 func (e *Executor) Skipped() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return len(e.skipped)
+	return e.skipped
 }
 
 // CacheSize returns the number of distinct specs resolved so far.
 func (e *Executor) CacheSize() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return len(e.cache)
+	return e.resolved
 }
 
 // RunBatch resolves a batch of specs and returns their results in spec
@@ -429,8 +437,8 @@ func (e *Executor) RunBatch(specs []runSpec) []RunResult {
 		// Plan probe the store and shard assignments stay computable).
 		e.mu.Lock()
 		for i, k := range keys {
-			if _, ok := e.planned[k]; !ok {
-				e.planned[k] = specToWire(specs[i]).Key()
+			if c := e.cellLocked(k); c.dk == "" {
+				c.dk = specToWire(specs[i]).Key()
 			}
 		}
 		e.mu.Unlock()
@@ -440,113 +448,107 @@ func (e *Executor) RunBatch(specs []runSpec) []RunResult {
 		return make([]RunResult, len(specs))
 	}
 
-	// Plan, phase 1: collect the distinct memo-cache misses, each with
-	// the wire key Plan stored for it ("" for a spec no planner saw).
-	type candidate struct {
-		i  int       // index into keys and specs
+	// Phase 1: look up each spec's cell once and claim every open one.
+	// A cell claimed by a concurrently-running batch, or by an earlier
+	// duplicate in this one, is not resolved again: the batch waits on
+	// its channel before assembling. Once claimed, a cell is this
+	// batch's alone until it settles or is released.
+	type claim struct {
+		i  int       // index into specs
+		c  *cell     // the claimed cell
 		dk string    // persistent-store key hash
 		r  RunResult // the stored result, when ok
 		ok bool      // r was replayed from the store
 	}
-	var cands []candidate
-	seen := make(map[runKey]bool)
-	e.mu.Lock()
-	for i, k := range keys {
-		dk, planned := e.planned[k]
-		if !planned {
-			e.planned[k] = ""
-		}
-		if _, hit := e.cache[k]; hit || seen[k] {
-			continue
-		}
-		seen[k] = true
-		cands = append(cands, candidate{i: i, dk: dk})
-	}
-	e.mu.Unlock()
-
-	// Plan, phase 2: derive the wire key of each unplanned candidate where
-	// it is needed (the hash names the run in records, keys the store, and
-	// assigns shards) and consult the persistent store — all outside e.mu,
-	// so neither the marshal+SHA-256 nor the store's own lock extends the
-	// executor's critical section. Only misses that dispatch get a wire
-	// form, after phase 3.
-	hashKeys := e.store != nil || e.record != nil || e.shardN > 1 ||
-		e.observer != nil
-	for c := range cands {
-		if cands[c].dk == "" && hashKeys {
-			cands[c].dk = specToWire(specs[cands[c].i]).Key()
-		}
-		cands[c].r, cands[c].ok = e.decodeStored(cands[c].dk)
-	}
-
-	// Plan, phase 3: publish the replays, skip cells owned by other
-	// shards, and claim the rest, re-checking against batches that raced
-	// ahead between the phases. Misses already claimed by a
-	// concurrently-running batch are not simulated again; we wait for
-	// their channels before assembling. The replays are compacted into
-	// the front of cands.
 	var (
-		misses []candidate
+		claims []claim
 		waits  []chan struct{}
 	)
-	replays := cands[:0]
+	cells := make([]*cell, len(specs))
 	e.mu.Lock()
-	for _, c := range cands {
-		k := keys[c.i]
-		if _, hit := e.cache[k]; hit {
-			continue // a concurrent batch resolved it meanwhile
+	for i, k := range keys {
+		c := e.cellLocked(k)
+		cells[i] = c
+		switch c.state {
+		case cellOpen:
+			c.state = cellClaimed
+			c.done = make(chan struct{})
+			claims = append(claims, claim{i: i, c: c, dk: c.dk})
+		case cellClaimed:
+			waits = append(waits, c.done)
 		}
-		if ch, busy := e.inflight[k]; busy {
-			waits = append(waits, ch)
-			continue
-		}
-		if c.ok {
-			e.cache[k] = c.r
-			e.replays++
-			delete(e.warm, k)
-			replays = append(replays, c)
-			continue
-		}
-		if e.shardN > 1 && shardOf(c.dk, e.shardN) != e.shardI {
-			e.skipped[k] = struct{}{}
-			delete(e.warm, k)
-			continue
-		}
-		e.inflight[k] = make(chan struct{})
-		misses = append(misses, c)
 	}
 	e.mu.Unlock()
-	for _, c := range replays {
-		e.observe(c.dk, c.r)
-		e.emit(&specs[c.i], c.dk, c.r, 0, true)
+
+	// Phase 2: derive the wire key of each claim whose key is unknown
+	// where it is needed (the hash names the run in records, keys the
+	// store, and assigns shards) and consult the persistent store — all
+	// outside e.mu, so neither the marshal+SHA-256 nor the store's own
+	// lock extends the executor's critical section. Only misses that
+	// dispatch get a wire form, after phase 3.
+	hashKeys := e.store != nil || e.record != nil || e.shardN > 1 ||
+		e.observer != nil
+	for j := range claims {
+		cl := &claims[j]
+		if cl.dk == "" && hashKeys {
+			cl.dk = specToWire(specs[cl.i]).Key()
+		}
+		cl.r, cl.ok = e.decodeStored(cl.dk)
+	}
+
+	// Phase 3: publish the replays and skip cells owned by other shards;
+	// the rest are misses to dispatch. The replays are compacted into the
+	// front of claims.
+	var misses []claim
+	replays := claims[:0]
+	e.mu.Lock()
+	for _, cl := range claims {
+		if cl.c.dk == "" {
+			cl.c.dk = cl.dk
+		}
+		switch {
+		case cl.ok:
+			e.settleLocked(cl.c, cellDone, cl.r)
+			e.replays++
+			replays = append(replays, cl)
+		case e.shardN > 1 && shardOf(cl.dk, e.shardN) != e.shardI:
+			e.settleLocked(cl.c, cellSkipped, RunResult{})
+		default:
+			misses = append(misses, cl)
+		}
+	}
+	e.mu.Unlock()
+	for _, cl := range replays {
+		e.observe(cl.dk, cl.r)
+		e.emit(&specs[cl.i], cl.dk, cl.r, 0, true)
 	}
 
 	// The wire form of each miss is the backend contract; the fork path
 	// decodes it too.
 	missSpecs := make([]runSpec, len(misses))
 	missWire := make([]wire.Spec, len(misses))
-	for j, c := range misses {
-		missSpecs[j] = specs[c.i]
-		missWire[j] = specToWire(specs[c.i])
+	for j, cl := range misses {
+		missSpecs[j] = specs[cl.i]
+		missWire[j] = specToWire(specs[cl.i])
 	}
 
 	// Execute: fan the misses out across the backend as units. With the
-	// in-process backend and a snapshot store, forkable misses sharing a
-	// divergence prefix are chained into one unit (ascending re-key
-	// period) so each member extends the longest already-snapshotted
-	// prefix instead of re-simulating it; everything else dispatches one
-	// spec per unit. Each simulation publishes to the cache (and writes
-	// through to the store) as it completes, so concurrent batches
-	// waiting on it unblock early and progress counters advance per run,
-	// not per unit. Remote backends never chain: per-spec dispatch keeps
-	// the wire contract unchanged, and byte-identity of forked results
-	// makes the two paths interchangeable.
+	// in-process backend, forkable misses sharing a divergence prefix are
+	// chained into one unit (ascending re-key period) so each member
+	// extends the previous member's snapshotted prefix instead of
+	// re-simulating it; everything else dispatches one spec per unit.
+	// Each simulation publishes to the cache (and writes through to the
+	// store) as it completes, so concurrent batches waiting on it unblock
+	// early and progress counters advance per run, not per unit. Remote
+	// backends never chain: per-spec dispatch keeps the wire contract
+	// unchanged, and byte-identity of forked results makes the two paths
+	// interchangeable.
 	type unit struct {
 		idxs []int
 		fork bool
 	}
 	var units []unit
-	if _, local := e.backend.(LocalBackend); local && e.snaps != nil {
+	if _, local := e.backend.(LocalBackend); local {
 		chains, singles := forkFamilies(missSpecs)
 		for _, i := range singles {
 			units = append(units, unit{idxs: []int{i}})
@@ -560,17 +562,14 @@ func (e *Executor) RunBatch(specs []runSpec) []RunResult {
 		}
 	}
 	runner.Map(len(units), e.workers, func(u int) struct{} {
-		var (
-			prefixDK string
-			prior    []uint64 // divergence cycles deposited by earlier members
-		)
+		var prev []byte // the chain's latest divergence snapshot
 		for _, i := range units[u].idxs {
-			k := keys[misses[i].i]
+			c := misses[i].c
 			if e.Err() != nil {
 				// The fleet is already failing: release the claim so
 				// waiters unblock, without piling on more doomed
 				// dispatches.
-				e.release(k)
+				e.release(c)
 				continue
 			}
 			e.sem <- struct{}{} // a slot is held only while simulating
@@ -585,11 +584,7 @@ func (e *Executor) RunBatch(specs []runSpec) []RunResult {
 				// the simulated spec is normalization-identical either way.
 				var s runSpec
 				if s, err = specFromWire(missWire[i]); err == nil {
-					if prefixDK == "" {
-						prefixDK = specToWire(prefixSpec(s)).Key()
-					}
-					r = runForked(s, prefixDK, prior, e.snaps)
-					prior = append(prior, rekeyOf(s))
+					r, prev = runForked(s, prev)
 				}
 			} else {
 				r, err = e.backend.Run(context.Background(), missWire[i])
@@ -597,10 +592,10 @@ func (e *Executor) RunBatch(specs []runSpec) []RunResult {
 			<-e.sem
 			if err != nil {
 				e.fail(fmt.Errorf("experiment: %s: %w", specLabel(missSpecs[i]), err))
-				e.release(k)
+				e.release(c)
 				continue
 			}
-			e.publish(&missSpecs[i], k, misses[i].dk, r, start)
+			e.publish(&missSpecs[i], c, misses[i].dk, r, start)
 		}
 		return struct{}{}
 	})
@@ -610,19 +605,36 @@ func (e *Executor) RunBatch(specs []runSpec) []RunResult {
 	for _, ch := range waits {
 		<-ch
 	}
-	e.mu.Lock()
 	out := make([]RunResult, len(specs))
-	for i, k := range keys {
-		out[i] = e.cache[k]
+	e.mu.Lock()
+	for i, c := range cells {
+		out[i] = c.res
 	}
 	e.mu.Unlock()
 	return out
 }
 
-// publish records one completed simulation: memo cache, in-flight claim
-// release, progress line, persistent store write-through, and the record
-// hook.
-func (e *Executor) publish(s *runSpec, k runKey, dk string, r RunResult, start time.Time) {
+// settleLocked ends a claim for good: the cell becomes done with result
+// r, or skipped, leaves the warm backlog, and its waiters unblock.
+// Called with e.mu held.
+func (e *Executor) settleLocked(c *cell, st cellState, r RunResult) {
+	c.state, c.res = st, r
+	if st == cellDone {
+		e.resolved++
+	} else {
+		e.skipped++
+	}
+	if c.warm {
+		c.warm = false
+		e.warm--
+	}
+	close(c.done)
+}
+
+// publish records one completed simulation: the cell's result (ending
+// its claim), progress line, persistent store write-through, and the
+// record hook.
+func (e *Executor) publish(s *runSpec, c *cell, dk string, r RunResult, start time.Time) {
 	dur := time.Since(start) //bpvet:allow progress/ETA telemetry; durations never reach results or keys
 	e.runs.Add(1)
 	// pmu is taken before e.mu (the only ordering used anywhere), so
@@ -633,12 +645,9 @@ func (e *Executor) publish(s *runSpec, k runKey, dk string, r RunResult, start t
 		e.pmu.Lock()
 	}
 	e.mu.Lock()
-	e.cache[k] = r
-	close(e.inflight[k])
-	delete(e.inflight, k)
-	delete(e.warm, k)
+	e.settleLocked(c, cellDone, r)
 	e.simsDone++
-	done, planned := len(e.cache)+len(e.skipped), len(e.planned)
+	done, planned := e.resolved+e.skipped, len(e.cells)
 	eta := e.etaLocked()
 	e.mu.Unlock()
 	if e.progress != nil {
@@ -672,15 +681,13 @@ func (e *Executor) fail(err error) {
 	e.mu.Unlock()
 }
 
-// release abandons an in-flight claim without publishing a result, so
-// concurrent batches waiting on it unblock (to a zero result) instead
-// of deadlocking.
-func (e *Executor) release(k runKey) {
+// release abandons a claim without publishing a result: the cell goes
+// back to open, and concurrent batches waiting on it unblock (to a zero
+// result) instead of deadlocking.
+func (e *Executor) release(c *cell) {
 	e.mu.Lock()
-	if ch, ok := e.inflight[k]; ok {
-		close(ch)
-		delete(e.inflight, k)
-	}
+	c.state = cellOpen
+	close(c.done)
 	e.mu.Unlock()
 }
 
@@ -742,7 +749,7 @@ func (e *Executor) noteSimStart(t time.Time) {
 // bogus estimate over the whole grid. Called with e.mu held; returns ""
 // until there is both a backlog and a throughput sample.
 func (e *Executor) etaLocked() string {
-	remaining := len(e.planned) - len(e.cache) - len(e.skipped) - len(e.warm)
+	remaining := len(e.cells) - e.resolved - e.skipped - e.warm
 	if remaining <= 0 || e.simsDone == 0 || e.simStart.IsZero() {
 		return ""
 	}

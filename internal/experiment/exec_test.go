@@ -353,6 +353,64 @@ func TestExecutorBackendErrorPoisons(t *testing.T) {
 	}
 }
 
+// handoffBackend fails the run of one spec, but only once another batch
+// has dispatched its own spec: by then that batch has looked up every
+// cell it needs, so it is already waiting on the failing claim. Every
+// other spec resolves at once to a fixed result.
+type handoffBackend struct {
+	failKey  string
+	aIn, bIn chan struct{}
+}
+
+func (h *handoffBackend) Run(_ context.Context, spec wire.Spec) (RunResult, error) {
+	if spec.Key() == h.failKey {
+		close(h.aIn)
+		<-h.bIn
+		return RunResult{}, errors.New("worker lost")
+	}
+	close(h.bIn)
+	return RunResult{Cycles: 42}, nil
+}
+
+// TestExecutorBackendErrorReleasesWaiter: batch B needs a cell batch A
+// has claimed, and A's dispatch of it fails. B must not hang on A's
+// claim: it returns a zero result for that cell, its own cell's result,
+// and the executor is poisoned.
+func TestExecutorBackendErrorReleasesWaiter(t *testing.T) {
+	specs := testSpecs(microScale())
+	shared, own := specs[0], specs[1]
+	h := &handoffBackend{failKey: specToWire(shared).Key(),
+		aIn: make(chan struct{}), bIn: make(chan struct{})}
+	e := NewExecutorWith(2, h)
+	deadline := time.After(30 * time.Second)
+
+	aDone := make(chan []RunResult, 1)
+	go func() { aDone <- e.RunBatch([]runSpec{shared}) }()
+	select {
+	case <-h.aIn:
+	case <-deadline:
+		t.Fatal("batch A never dispatched its spec")
+	}
+	bDone := make(chan []RunResult, 1)
+	go func() { bDone <- e.RunBatch([]runSpec{shared, own}) }()
+	for _, done := range []chan []RunResult{aDone, bDone} {
+		select {
+		case res := <-done:
+			if !reflect.DeepEqual(res[0], RunResult{}) {
+				t.Fatalf("the failed cell returned %+v, want zero", res[0])
+			}
+			if len(res) == 2 && res[1].Cycles != 42 {
+				t.Fatalf("batch B's own cell returned %+v", res[1])
+			}
+		case <-deadline:
+			t.Fatal("a batch hung on a claim whose backend failed")
+		}
+	}
+	if e.Err() == nil {
+		t.Fatal("backend failure did not poison the executor")
+	}
+}
+
 // TestBatchResultBeforeExecPanics: reading a pending handle before the
 // batch executes is a planning bug and must fail loudly.
 func TestBatchResultBeforeExecPanics(t *testing.T) {

@@ -302,8 +302,8 @@ func (s *Session) Figure9() *Table {
 // single-core instruction budget (in cycles — the simulated CPI is
 // below 1, so the short periods re-key many times per run and the long
 // ones a handful). The ladder is a pure function of the scale, so every
-// invocation sweeps identical cells and the cache and snapshot store
-// both hit.
+// invocation sweeps identical cells and a rerun replays them from the
+// run cache.
 func (s *Session) RekeyPeriods() []uint64 {
 	t := s.scale.WarmupInstr + s.scale.MeasureInstr
 	ps := make([]uint64, 8)

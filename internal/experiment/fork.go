@@ -6,9 +6,10 @@ package experiment
 // member of such a family traces the identical trajectory up to its
 // divergence cycle. Instead of re-simulating that shared prefix once per
 // cell, the executor chains the family: the shortest-period member runs
-// first, deposits a snapshot of the complete simulator state at the last
-// cycle before its first re-key, and each later member restores the
-// longest already-deposited prefix and simulates only its own tail.
+// first and hands on a snapshot of the complete simulator state at the
+// last cycle before its first re-key; each later member restores the
+// snapshot handed to it, simulates only its own tail, and hands on its
+// own divergence snapshot in turn.
 //
 // Correctness rests on two facts, both enforced by tests:
 //
@@ -23,14 +24,15 @@ package experiment
 //     the divergence snapshot is taken at the cycle-(P-1) boundary and
 //     the tail resumes with the rekey scheduled for cycle P.
 //
-// Snapshots live in memory (SnapStore) for the executor's lifetime;
-// across processes the run cache already holds every finished cell, so a
-// rerun replays results instead of restoring prefixes.
+// A chain keeps only its latest snapshot, and only while the chain runs.
+// Members ascend by period, so the latest snapshot is the longest prefix
+// any later member can use; across chains and processes the run cache
+// already holds every finished cell, so a rerun replays results instead
+// of restoring prefixes.
 
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"xorbp/internal/core"
 	"xorbp/internal/cpu"
@@ -181,9 +183,9 @@ func (m *sim) result() RunResult {
 }
 
 // snapshot serializes the lifecycle state (phase and measurement-window
-// anchors) followed by the complete core state.
-func (m *sim) snapshot() []byte {
-	w := &snap.Writer{}
+// anchors) followed by the complete core state, reusing buf's storage.
+func (m *sim) snapshot(buf []byte) []byte {
+	w := snap.NewWriter(buf)
 	w.U8(m.phase)
 	w.U64(m.ctx0)
 	w.U64(m.priv0)
@@ -237,7 +239,7 @@ func prefixSpec(s runSpec) runSpec {
 
 // forkFamilies partitions spec indices into fork chains — groups whose
 // specs are identical up to the re-key period, ordered by ascending
-// period so each member extends the longest snapshotted prefix — and
+// period so each member extends the previous member's prefix — and
 // singles that cannot fork. Chains appear in first-appearance order and
 // ties break on index, so the partition is deterministic.
 func forkFamilies(specs []runSpec) (chains [][]int, singles []int) {
@@ -268,92 +270,40 @@ func forkFamilies(specs []runSpec) (chains [][]int, singles []int) {
 	return chains, singles
 }
 
-// snapKey names the snapshot of a prefix's state at a divergence cycle:
-// the prefix spec's canonical wire key plus the cycle.
-type snapKey struct {
-	prefixDK string
-	at       uint64
-}
-
-// SnapStore holds the divergence-point snapshots the current process's
-// chains deposit. Safe for concurrent use.
-type SnapStore struct {
-	mu  sync.Mutex
-	mem map[snapKey][]byte
-}
-
-// NewSnapStore creates an empty snapshot store.
-func NewSnapStore() *SnapStore {
-	return &SnapStore{mem: make(map[snapKey][]byte)}
-}
-
-// Get returns the snapshot of prefixDK's state at divergence cycle at.
-func (ss *SnapStore) Get(prefixDK string, at uint64) ([]byte, bool) {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	v, ok := ss.mem[snapKey{prefixDK, at}]
-	return v, ok
-}
-
-// Put deposits a snapshot, keeping the first deposit for a key (every
-// depositor of a key writes identical bytes, so this is only a cheap
-// idempotence guard).
-func (ss *SnapStore) Put(prefixDK string, at uint64, data []byte) {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	k := snapKey{prefixDK, at}
-	if _, dup := ss.mem[k]; !dup {
-		ss.mem[k] = data
-	}
-}
-
-// Len returns the number of snapshots held.
-func (ss *SnapStore) Len() int {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	return len(ss.mem)
-}
-
-// runForked executes one family member by extending the longest
-// already-snapshotted prefix. prior lists divergence cycles deposited
-// (or attempted) by earlier members of the chain, ascending; candidates
-// above the member's own period are unusable (their prefixes have
-// already re-keyed). The member restores the longest usable prior
-// prefix, or starts cold. If the lifecycle completes before the
-// divergence cycle the re-key never fires and the result is final;
-// otherwise the member deposits the snapshot at its own divergence cycle
-// for the rest of the family before finishing its tail.
+// runForked executes one family member, continuing from prev — the
+// divergence snapshot handed on by the chain's previous member, or nil
+// for the first — and returns its result with the snapshot to hand on.
+// Chains ascend by period, so prev predates the member's own divergence
+// cycle. If the lifecycle completes before that cycle the re-key never
+// fires, the result is final, and prev is handed on unchanged (every
+// later member, with a longer period, completes before its own
+// divergence too); otherwise the member snapshots its own divergence
+// point into prev's storage before finishing its tail, so the caller
+// keeps only the returned snapshot. A snapshot that fails to restore
+// falls back to a cold run, which gives the same result.
 //
 // The result is byte-identical to run(s): restoration is exact, the
 // prefix cycles never observe a re-key in either path, and the tail
 // resumes with the first re-key scheduled at the same cycle the straight
 // run fires it.
-func runForked(s runSpec, prefixDK string, prior []uint64, snaps *SnapStore) RunResult {
+func runForked(s runSpec, prev []byte) (RunResult, []byte) {
 	p := rekeyOf(s)
 	m := newSim(s)
-	for j := len(prior) - 1; j >= 0; j-- {
-		if prior[j] > p {
-			continue
-		}
-		data, ok := snaps.Get(prefixDK, prior[j])
-		if !ok {
-			continue
-		}
-		if m.restore(data) != nil {
+	if prev != nil {
+		if m.restore(prev) != nil {
 			m = newSim(s) // the failed restore poisoned it
-			continue
+		} else {
+			// The snapshot predates the prefix's first re-key; put this
+			// member's own schedule in force over the donor's.
+			m.c.ScheduleRekey(p)
 		}
-		// The snapshot predates the prefix's first re-key; put this
-		// member's own schedule in force over the donor's.
-		m.c.ScheduleRekey(p)
-		break
 	}
 	if m.advance(p - 1) {
 		// Completed before the divergence cycle: the re-key never fires,
-		// the result is final, and there is no prefix worth depositing.
-		return m.result()
+		// the result is final, and there is no longer prefix to hand on.
+		return m.result(), prev
 	}
-	snaps.Put(prefixDK, p, m.snapshot())
+	next := m.snapshot(prev) // the reader copied out of prev, so it is dead
 	m.advance(cpu.NoCycleLimit)
-	return m.result()
+	return m.result(), next
 }

@@ -81,12 +81,14 @@ func TestForkFamilies(t *testing.T) {
 	}
 }
 
-// TestForkedMatchesStraight is the tentpole's correctness gate: a
-// divergence family resolved through the fork path (shared prefix,
+// TestForkedMatchesStraight is the fork path's correctness gate: a
+// divergence family resolved through the fork chain (shared prefix,
 // snapshot at each divergence cycle, forked tails) must be byte-
 // identical to the same specs each simulated cold — per predictor and
 // per encoding mechanism, since the snapshot seam serializes each
-// predictor's own tables.
+// predictor's own tables. The ladder ends in two periods longer than
+// the run itself: the first completes before its divergence cycle and
+// hands the previous snapshot on unchanged, and the second restores it.
 func TestForkedMatchesStraight(t *testing.T) {
 	scale := microScale()
 	preds := []string{"tage", "gshare", "perceptron", "tournament", "ltage", "tage_sc_l"}
@@ -97,29 +99,29 @@ func TestForkedMatchesStraight(t *testing.T) {
 	}
 	for _, pred := range preds {
 		for _, mech := range mechs {
-			var specs []runSpec
-			for _, period := range []uint64{5_000, 20_000, 60_000} {
+			mk := func(period uint64) runSpec {
 				o := core.OptionsFor(mech)
 				o.RekeyPeriod = period
 				s := singleSpec(o, workload.SingleCorePairs()[1], 300_000)
 				s.predName = pred
 				s.scale = scale
-				specs = append(specs, s)
+				return s
+			}
+			// The family's shared prefix (no re-key) runs for base cycles.
+			probe := newSim(mk(0))
+			probe.advance(cpu.NoCycleLimit)
+			base := probe.c.Cycles()
+			var specs []runSpec
+			for _, period := range []uint64{5_000, 20_000, 60_000, base + 1_000, 2 * base} {
+				specs = append(specs, mk(period))
 			}
 
-			forked := NewExecutor(2)
-			got := forked.RunBatch(specs)
-			if forked.Snapshots().Len() == 0 {
-				t.Fatalf("%s/%s: fork path deposited no snapshots", pred, mech)
-			}
-
-			straight := NewExecutor(2)
-			straight.SetSnapshots(nil) // disable forking: every cell cold
-			want := straight.RunBatch(specs)
-
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s/%s: forked results differ from straight runs:\nforked:   %+v\nstraight: %+v",
-					pred, mech, got, want)
+			got := NewExecutor(2).RunBatch(specs)
+			for i, s := range specs {
+				if want := run(s); !reflect.DeepEqual(got[i], want) {
+					t.Fatalf("%s/%s period %d: forked result differs from the straight run:\nforked:   %+v\nstraight: %+v",
+						pred, mech, rekeyOf(s), got[i], want)
+				}
 			}
 		}
 	}
@@ -127,7 +129,7 @@ func TestForkedMatchesStraight(t *testing.T) {
 
 // TestSimSnapshotRestoreByteStable: restoring a mid-run snapshot into a
 // fresh sim and re-snapshotting must reproduce the donor bytes exactly
-// (so deposited prefixes are stable however many times they are
+// (so a prefix handed along a chain is stable however many times it is
 // re-derived), and the restored sim must finish with the donor's result.
 func TestSimSnapshotRestoreByteStable(t *testing.T) {
 	spec := rekeySpec(40_000, microScale())
@@ -135,13 +137,13 @@ func TestSimSnapshotRestoreByteStable(t *testing.T) {
 	if donor.advance(10_000) {
 		t.Fatal("sim completed before the snapshot point; scale too small")
 	}
-	data := donor.snapshot()
+	data := donor.snapshot(nil)
 
 	clone := newSim(spec)
 	if err := clone.restore(data); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
-	if again := clone.snapshot(); !bytes.Equal(again, data) {
+	if again := clone.snapshot(nil); !bytes.Equal(again, data) {
 		t.Fatal("restored sim re-snapshots differently from the donor bytes")
 	}
 	donor.advance(cpu.NoCycleLimit)
@@ -168,23 +170,40 @@ func TestRekeySweepDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestForkSavesWork: the chain must simulate strictly fewer cycles than
-// cold runs — observable as the later family members starting from a
-// restored prefix. We assert through the snapshot store: one deposit
-// per member (each extends the prefix for the next), and a rerun of the
-// same batch is served from the memo cache without new simulations.
+// cold runs — observable as each family member continuing from the
+// previous member's prefix and handing on a longer one. Each member must
+// return a new divergence snapshot and match its straight run; a member
+// whose period outlasts the run must hand the previous snapshot on
+// unchanged; and a rerun of the family through an executor is served
+// from the memo cache without new simulations.
 func TestForkSavesWork(t *testing.T) {
 	specs := []runSpec{
 		rekeySpec(8_000, microScale()),
 		rekeySpec(16_000, microScale()),
 		rekeySpec(24_000, microScale()),
 	}
+	var prev []byte
+	for _, s := range specs {
+		old := bytes.Clone(prev) // the member recycles prev's storage
+		got, next := runForked(s, prev)
+		if next == nil || bytes.Equal(next, old) {
+			t.Fatalf("period %d handed on no new snapshot", rekeyOf(s))
+		}
+		if want := run(s); !reflect.DeepEqual(got, want) {
+			t.Fatalf("period %d: forked result differs from the straight run", rekeyOf(s))
+		}
+		prev = next
+	}
+	probe := newSim(rekeySpec(0, microScale()))
+	probe.advance(cpu.NoCycleLimit)
+	if _, next := runForked(rekeySpec(probe.c.Cycles()+1_000, microScale()), prev); !bytes.Equal(next, prev) {
+		t.Fatal("a member completing before its divergence cycle did not hand the previous snapshot on")
+	}
+
 	e := NewExecutor(1)
 	e.RunBatch(specs)
 	if got, want := e.Runs(), uint64(3); got != want {
 		t.Fatalf("simulated %d runs, want %d", got, want)
-	}
-	if got := e.Snapshots().Len(); got != 3 {
-		t.Fatalf("deposited %d snapshots, want 3 (one per member)", got)
 	}
 	e.RunBatch(specs)
 	if got := e.Runs(); got != 3 {
@@ -224,13 +243,11 @@ func TestForkSweepGate(t *testing.T) {
 	for i := range periods {
 		periods[i] = base * uint64(80+2*i) / 100
 	}
-	prefixDK := specToWire(prefixSpec(rekeySpec(periods[0], scale))).Key()
 
 	ratios := make([]float64, rounds)
 	var straight, forked time.Duration
 	for r := range ratios {
-		snaps := NewSnapStore()
-		var prior []uint64
+		var prev []byte
 		straight, forked = 0, 0
 		for _, p := range periods {
 			spec := rekeySpec(p, scale)
@@ -240,9 +257,9 @@ func TestForkSweepGate(t *testing.T) {
 			straight += time.Since(start)
 			runtime.GC()
 			start = time.Now()
-			got := runForked(spec, prefixDK, prior, snaps)
+			var got RunResult
+			got, prev = runForked(spec, prev)
 			forked += time.Since(start)
-			prior = append(prior, p)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("period %d: forked result differs from the straight run:\nforked:   %+v\nstraight: %+v", p, got, want)
 			}
@@ -271,7 +288,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 	spec := rekeySpec(10_000, quarter(microScale()))
 	donor := newSim(spec)
 	donor.advance(2_000)
-	valid := donor.snapshot()
+	valid := donor.snapshot(nil)
 	f.Add(valid)
 	f.Add([]byte{})
 	f.Add(valid[:len(valid)/2])

@@ -83,7 +83,8 @@ func TestPlannedKeyIsWireKey(t *testing.T) {
 	e := NewExecutor(1)
 	e.Plan(plannedGrid())
 	kinds := map[string]int{}
-	for k, dk := range e.planned {
+	for k, c := range e.cells {
+		dk := c.dk
 		s := specOf(t, k)
 		if specKey(s) != k {
 			t.Fatalf("rebuilt spec %s keys differently", specLabel(s))
@@ -115,10 +116,10 @@ func TestPlannedKeyIsWireKey(t *testing.T) {
 // TestWarmReplayAllocs bounds the heap allocations of a warm bpsim
 // invocation's engine work per planned cell: Plan a fresh executor over
 // a stored Figure 1 grid, then render Figure 1 from the store. A replay
-// costs one memo lookup, one store lookup and one result decode; the
+// costs one cell lookup, one store lookup and one result decode; the
 // bound sits between the 38 allocations per cell the replay path made
 // when it re-derived each wire key and built an unread run record, and
-// the 23 it makes without them.
+// the 21 it makes now.
 func TestWarmReplayAllocs(t *testing.T) {
 	const bound = 28
 	scale := microScale()

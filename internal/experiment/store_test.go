@@ -162,6 +162,48 @@ func TestExecutorsConcurrentSharedCacheDir(t *testing.T) {
 	}
 }
 
+// TestConcurrentBatchesReplayOnce: two batches racing on one executor
+// for a store-resident cell replay it exactly once — one claims it, the
+// other waits on that claim — and both get the stored result. Each
+// round uses a fresh executor over the same store, so the race is run
+// many times.
+func TestConcurrentBatchesReplayOnce(t *testing.T) {
+	dir := t.TempDir()
+	spec := testSpecs(microScale())[0]
+	want := storedExec(t, dir, 1).RunBatch([]runSpec{spec})[0]
+	st, err := runcache.Open(dir, SchemaVersion())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 200; round++ {
+		e := NewExecutor(2)
+		e.SetStore(st)
+		var (
+			wg    sync.WaitGroup
+			start = make(chan struct{})
+			got   [2]RunResult
+		)
+		for g := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				got[g] = e.RunBatch([]runSpec{spec})[0]
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if e.Replays() != 1 || e.Runs() != 0 {
+			t.Fatalf("round %d: %d replays and %d runs, want 1 and 0", round, e.Replays(), e.Runs())
+		}
+		for g, r := range got {
+			if !reflect.DeepEqual(r, want) {
+				t.Fatalf("round %d: batch %d got %+v, want the stored %+v", round, g, r, want)
+			}
+		}
+	}
+}
+
 // TestRunRecords: the record hook sees one Cached=false record per
 // simulation, one Cached=true record per store replay, and nothing for
 // in-process memo hits.

@@ -821,6 +821,69 @@ func TestLeaderTokenAuth(t *testing.T) {
 	}
 }
 
+// TestLeaderHealthz: /healthz answers the token holder with exactly the
+// wire.Health fields — status, the leader's schema, and the queue's live
+// lease and resolved counts.
+func TestLeaderHealthz(t *testing.T) {
+	q := NewQueue(0, time.Now)
+	ts := httptest.NewServer(NewLeader(q, "hunter2").Handler())
+	t.Cleanup(ts.Close)
+
+	// One spec done, one leased and outstanding.
+	_, errc0 := submitAsync(q, qspec(0))
+	_, errc1 := submitAsync(q, qspec(1))
+	waitPending(t, q, 2)
+	id, specs := q.Claim(noWait, "w", 1)
+	if err := q.Complete(id, specs[0].Key(), wire.Result{Cycles: 1}, false); err != nil {
+		t.Fatal(err)
+	}
+	id, specs = q.Claim(noWait, "w", 1)
+	if id == 0 {
+		t.Fatal("the second spec was not claimable")
+	}
+
+	req, err := http.NewRequest(http.MethodGet, ts.URL+"/healthz", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Authorization", "Bearer hunter2")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz answered %s", resp.Status)
+	}
+	var h wire.Health
+	dec := json.NewDecoder(resp.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&h); err != nil {
+		t.Fatalf("decoding healthz: %v", err)
+	}
+	if h.Status != "ok" || h.Schema != wire.SchemaVersion() {
+		t.Fatalf("healthz = %+v, want status ok and schema %s", h, wire.SchemaVersion())
+	}
+	st := q.Stats()
+	if st.Leased != 1 || st.Done != 1 {
+		t.Fatalf("queue stats %+v, want one leased and one done", st)
+	}
+	if h.Inflight != st.Leased || h.Runs != uint64(st.Done) {
+		t.Fatalf("healthz inflight/runs = %d/%d, queue leased/done = %d/%d",
+			h.Inflight, h.Runs, st.Leased, st.Done)
+	}
+
+	// Resolve the outstanding lease so both submitters return.
+	if err := q.Complete(id, specs[0].Key(), wire.Result{Cycles: 2}, false); err != nil {
+		t.Fatal(err)
+	}
+	for _, errc := range []<-chan error{errc0, errc1} {
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestPullWorkerTLSPinning: a worker pinning the leader's CA resolves a
 // spec over HTTPS; a worker with an empty CA pool never claims anything
 // from the same leader — its claims fail at the handshake.

@@ -149,7 +149,6 @@ func (l *Leader) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, wire.Health{
 		Status:   "ok",
 		Schema:   wire.SchemaVersion(),
-		Capacity: 0, // the leader simulates nothing itself
 		Inflight: st.Leased,
 		Runs:     uint64(st.Done),
 	})

@@ -4,7 +4,8 @@
 // key files, ring buffers, cycle counters — and never static configuration,
 // which is rebuilt from the run spec on restore. That split keeps the
 // encoding small and makes a snapshot meaningless outside the spec that
-// produced it, which is why the snapshot store keys entries by spec prefix
+// produced it, which is why a snapshot only ever passes between members
+// of one fork chain, whose specs share everything but the re-key period
 // (see internal/experiment).
 //
 // The format is a flat little-endian byte stream with no self-description:
@@ -37,6 +38,10 @@ var ErrCorrupt = errors.New("snap: corrupt or truncated snapshot")
 type Writer struct {
 	buf []byte
 }
+
+// NewWriter returns a writer that encodes into buf's storage from its
+// start, so a caller done with an earlier snapshot can recycle it.
+func NewWriter(buf []byte) *Writer { return &Writer{buf: buf[:0]} }
 
 // Bytes returns the encoded snapshot.
 func (w *Writer) Bytes() []byte { return w.buf }

@@ -291,14 +291,10 @@ type Health struct {
 	Status string `json:"status"`
 	// Schema is the leader's SchemaVersion.
 	Schema string `json:"schema"`
-	// Capacity and Replays are always 0: the leader simulates nothing
-	// itself.
-	Capacity int `json:"capacity"`
 	// Inflight counts specs leased to workers right now; Runs counts
 	// specs resolved so far.
 	Inflight int    `json:"inflight"`
 	Runs     uint64 `json:"runs"`
-	Replays  uint64 `json:"replays"`
 }
 
 // Error is the JSON error body the pull leader returns for non-2xx
