@@ -693,8 +693,10 @@ func (e *Executor) release(c *cell) {
 
 // decodeStored consults the persistent store for a wire key. The
 // store's content is memory-resident after Open, so this is a map lookup
-// plus a decode. An undecodable value (which load-time validation makes
-// unlikely) is treated as a miss and overwritten by the re-run.
+// plus a decode. wire.DecodeResult accepts only the canonical form
+// storePut writes, so an undecodable value is a non-canonical or damaged
+// one that passed the segment CRC; it is treated as a miss, re-simulated
+// and overwritten.
 func (e *Executor) decodeStored(dk string) (RunResult, bool) {
 	if dk == "" || e.store == nil {
 		return RunResult{}, false

@@ -8,8 +8,10 @@ import (
 	"testing"
 	"time"
 
+	"xorbp/internal/attack"
 	"xorbp/internal/core"
 	"xorbp/internal/cpu"
+	"xorbp/internal/rng"
 	"xorbp/internal/workload"
 )
 
@@ -123,6 +125,65 @@ func TestForkedMatchesStraight(t *testing.T) {
 						pred, mech, rekeyOf(s), got[i], want)
 				}
 			}
+		}
+	}
+}
+
+// TestPermutedBatchMatches is a metamorphic invariant: the order in
+// which a batch lists its specs changes no result. The batch holds the
+// re-key sweep's fork families for three cases with their baselines, a
+// duplicated spec and attack jobs; a seeded permutation of it, run on a
+// second fresh executor, must give every spec a DeepEqual result. The
+// permutation hands at least one chain its members out of period order,
+// so forkFamilies must sort them.
+func TestPermutedBatchMatches(t *testing.T) {
+	scale := microScale()
+	timer := scale.TimerPeriods[1]
+	var specs []runSpec
+	for _, pair := range workload.SingleCorePairs()[:3] {
+		specs = append(specs, singleSpec(baselineOpts(), pair, timer))
+		for _, p := range NewSessionWith(scale, NewPlanner()).RekeyPeriods() {
+			specs = append(specs, singleSpec(rekeyOpts(p), pair, timer))
+		}
+	}
+	for i := range specs {
+		specs[i].scale = scale
+	}
+	specs = append(specs, specs[2])
+	for _, name := range attack.Names()[:3] {
+		specs = append(specs, attackRunSpec(AttackJob{Attack: name, Opts: core.OptionsFor(core.NoisyXOR),
+			Scenario: attack.SingleThreaded, Trials: 10, Attempts: 3, Seed: 1}))
+	}
+
+	g := rng.NewXoshiro256(9)
+	perm := make([]int, len(specs)) // inside-out Fisher–Yates
+	for i := range perm {
+		j := g.Intn(i + 1)
+		perm[i], perm[j] = perm[j], i
+	}
+	permuted := make([]runSpec, len(specs))
+	for i, j := range perm {
+		permuted[i] = specs[j]
+	}
+	last := make(map[runKey]uint64)
+	descending := false
+	for _, s := range permuted {
+		if forkable(s) {
+			pk := specKey(prefixSpec(s))
+			descending = descending || rekeyOf(s) < last[pk]
+			last[pk] = rekeyOf(s)
+		}
+	}
+	if !descending {
+		t.Fatal("the permutation hands every chain its members in period order")
+	}
+
+	want := NewExecutor(2).RunBatch(specs)
+	got := NewExecutor(2).RunBatch(permuted)
+	for i, j := range perm {
+		if !reflect.DeepEqual(got[i], want[j]) {
+			t.Fatalf("%s: result depends on submission order:\npermuted: %+v\nin order: %+v",
+				specLabel(specs[j]), got[i], want[j])
 		}
 	}
 }

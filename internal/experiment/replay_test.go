@@ -116,12 +116,13 @@ func TestPlannedKeyIsWireKey(t *testing.T) {
 // TestWarmReplayAllocs bounds the heap allocations of a warm bpsim
 // invocation's engine work per planned cell: Plan a fresh executor over
 // a stored Figure 1 grid, then render Figure 1 from the store. A replay
-// costs one cell lookup, one store lookup and one result decode; the
-// bound sits between the 38 allocations per cell the replay path made
-// when it re-derived each wire key and built an unread run record, and
-// the 21 it makes now.
+// costs one cell lookup, one store lookup and one result decode. The
+// replay path made 38 allocations per cell when it re-derived each wire
+// key and built an unread run record, then 21 while results decoded
+// through reflective encoding/json, and about 8 now that DecodeResult
+// scans the canonical form; the bound sits between the last two.
 func TestWarmReplayAllocs(t *testing.T) {
-	const bound = 28
+	const bound = 12
 	scale := microScale()
 	dir := t.TempDir()
 	cold := storedExec(t, dir, 0)

@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"strconv"
 	"strings"
 
 	"xorbp/internal/core"
@@ -117,6 +118,8 @@ type AttackSpec struct {
 // Result is one simulation's measurement window — the engine's
 // RunResult, promoted to the wire schema. For attack jobs the
 // performance fields are zero and Attack carries the counted outcome.
+// DecodeResult reads these fields, and cpu.ThreadStats's, in
+// declaration order: a field added here needs a step there.
 type Result struct {
 	Cycles       uint64            `json:"cycles"`
 	Target       cpu.ThreadStats   `json:"target"`
@@ -273,16 +276,217 @@ func (r Result) Encode() []byte {
 	return b
 }
 
-// DecodeResult parses a canonical result encoding (strict, like
-// DecodeSpec).
+// DecodeResult parses a result in the canonical form Encode writes —
+// compact JSON, every key in declaration order, "attack" present only
+// when non-nil — and rejects anything else, including whitespace,
+// reordered or case-folded keys, "attack":null and trailing bytes.
+// Every stored result is Encode's output (the run cache's compaction
+// leaves it unchanged), so a rejected value is a damaged or foreign one,
+// and callers treat it as a miss and simulate again.
+//
+// The decoder matches literal key prefixes and scans each number as one
+// JSON number token, converted with the strconv call encoding/json uses
+// for the field's type. So any input it accepts decodes to the Result
+// encoding/json would give; FuzzDecodeResult checks that against
+// encoding/json. A field added to Result without a matching step here
+// makes every canonical encoding fail to decode, never decode wrongly.
 func DecodeResult(b []byte) (Result, error) {
+	d := resultDecoder{b: b}
 	var r Result
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&r); err != nil {
-		return Result{}, fmt.Errorf("wire: decoding result: %w", err)
+	d.lit(`{"cycles":`)
+	r.Cycles = d.uintVal()
+	d.lit(`,"target":`)
+	r.Target = d.threadStats()
+	d.lit(`,"others":`)
+	r.Others = d.others()
+	d.lit(`,"priv_switches":`)
+	r.PrivSwitches = d.uintVal()
+	d.lit(`,"ctx_switches":`)
+	r.CtxSwitches = d.uintVal()
+	d.lit(`,"btb_hit_rate":`)
+	r.BTBHitRate = d.floatVal()
+	if d.consume(`,"attack":{"successes":`) {
+		a := &AttackResult{Successes: d.intVal()}
+		d.lit(`,"trials":`)
+		a.Trials = d.intVal()
+		d.lit(`}`)
+		r.Attack = a
+	}
+	d.lit(`}`)
+	if d.err == nil && d.i != len(b) {
+		d.fail("trailing bytes")
+	}
+	if d.err != nil {
+		return Result{}, fmt.Errorf("wire: decoding result: %w", d.err)
 	}
 	return r, nil
+}
+
+// resultDecoder scans DecodeResult's input left to right. The first
+// mismatch sets err; every later step is then a no-op.
+type resultDecoder struct {
+	b   []byte
+	i   int
+	err error
+}
+
+func (d *resultDecoder) fail(what string) {
+	if d.err == nil {
+		d.err = fmt.Errorf("%s at byte %d", what, d.i)
+	}
+}
+
+// consume advances past s if the input continues with it.
+func (d *resultDecoder) consume(s string) bool {
+	if d.err != nil || len(d.b)-d.i < len(s) || string(d.b[d.i:d.i+len(s)]) != s {
+		return false
+	}
+	d.i += len(s)
+	return true
+}
+
+// lit requires the input to continue with s.
+func (d *resultDecoder) lit(s string) {
+	if !d.consume(s) {
+		d.fail(fmt.Sprintf("want %q", s))
+	}
+}
+
+// threadStats reads one canonical cpu.ThreadStats object.
+func (d *resultDecoder) threadStats() cpu.ThreadStats {
+	var s cpu.ThreadStats
+	d.lit(`{"instructions":`)
+	s.Instructions = d.uintVal()
+	d.lit(`,"branches":`)
+	s.Branches = d.uintVal()
+	d.lit(`,"cond_branches":`)
+	s.CondBranches = d.uintVal()
+	d.lit(`,"dir_misp":`)
+	s.DirMisp = d.uintVal()
+	d.lit(`,"eff_misp":`)
+	s.EffMisp = d.uintVal()
+	d.lit(`,"targ_misp":`)
+	s.TargMisp = d.uintVal()
+	d.lit(`,"decode_redir":`)
+	s.DecodeRedir = d.uintVal()
+	d.lit(`,"syscalls":`)
+	s.Syscalls = d.uintVal()
+	d.lit(`}`)
+	return s
+}
+
+// others reads null (a nil slice) or an array of ThreadStats; [] is an
+// empty non-nil slice, as encoding/json decodes it.
+func (d *resultDecoder) others() []cpu.ThreadStats {
+	if d.consume("null") {
+		return nil
+	}
+	d.lit("[")
+	out := []cpu.ThreadStats{}
+	if d.consume("]") {
+		return out
+	}
+	for d.err == nil {
+		out = append(out, d.threadStats())
+		if d.consume("]") {
+			return out
+		}
+		d.lit(",")
+	}
+	return nil
+}
+
+// number scans one JSON number token,
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and returns it.
+func (d *resultDecoder) number() []byte {
+	if d.err != nil {
+		return nil
+	}
+	b, i := d.b, d.i
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	switch {
+	case i < len(b) && b[i] == '0':
+		i++
+	case i < len(b) && '1' <= b[i] && b[i] <= '9':
+		i = skipDigits(b, i+1)
+	default:
+		d.fail("want a number")
+		return nil
+	}
+	if i < len(b) && b[i] == '.' {
+		j := skipDigits(b, i+1)
+		if j == i+1 {
+			d.fail("want a fraction digit")
+			return nil
+		}
+		i = j
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		j := skipDigits(b, i)
+		if j == i {
+			d.fail("want an exponent digit")
+			return nil
+		}
+		i = j
+	}
+	tok := b[d.i:i]
+	d.i = i
+	return tok
+}
+
+// skipDigits returns the index of the first non-digit at or after i.
+func skipDigits(b []byte, i int) int {
+	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+		i++
+	}
+	return i
+}
+
+// uintVal reads a uint64 field as encoding/json does: ParseUint rejects
+// a sign, a fraction, an exponent and overflow.
+func (d *resultDecoder) uintVal() uint64 {
+	tok := d.number()
+	if d.err != nil {
+		return 0
+	}
+	n, err := strconv.ParseUint(string(tok), 10, 64)
+	if err != nil {
+		d.fail("want an unsigned integer")
+	}
+	return n
+}
+
+// intVal reads an int field as encoding/json does.
+func (d *resultDecoder) intVal() int {
+	tok := d.number()
+	if d.err != nil {
+		return 0
+	}
+	n, err := strconv.ParseInt(string(tok), 10, strconv.IntSize)
+	if err != nil {
+		d.fail("want an integer")
+	}
+	return int(n)
+}
+
+// floatVal reads a float64 field as encoding/json does; an overflow to
+// ±Inf is an error.
+func (d *resultDecoder) floatVal() float64 {
+	tok := d.number()
+	if d.err != nil {
+		return 0
+	}
+	f, err := strconv.ParseFloat(string(tok), 64)
+	if err != nil {
+		d.fail("want a finite number")
+	}
+	return f
 }
 
 // Health is the body of GET /healthz on the pull leader.
