@@ -130,8 +130,8 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Minute, "max wait for started simulations on shutdown")
 	token := flag.String("token", "", "shared bearer token to present to the leader (\"\" = none)")
 	gcInterval := flag.Duration("gc-interval", 6*time.Hour, "period between automatic cache GC passes (0 disables)")
-	gcAge := flag.Duration("gc-age", 30*24*time.Hour, "GC: remove entries older than this (0 disables the age bound)")
-	gcMaxBytes := flag.Int64("gc-max-bytes", 4<<30, "GC: evict oldest entries until the cache fits this many bytes (0 disables)")
+	gcAge := flag.Duration("gc-age", runcache.DefaultGCMaxAge, "GC: remove entries older than this (0 disables the age bound)")
+	gcMaxBytes := flag.Int64("gc-max-bytes", runcache.DefaultGCMaxBytes, "GC: evict oldest entries until the cache fits this many bytes (0 disables)")
 	pull := flag.String("pull", "", "fleet leader address (bpsim/attacksim -fleet) to claim work from (required)")
 	pullBatch := flag.Int("pull-batch", 0, "max specs claimed per lease (<=0: 2x workers)")
 	workerID := flag.String("id", "", "stable worker identity for lease bookkeeping (default host:pid)")

@@ -1,77 +1,57 @@
 package driver
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sync"
 )
 
-// activeProfiles is the stop hook of the current StartProfiles call, so
-// error paths that terminate via os.Exit (fatalf, ParseShard, Connect)
-// can flush captures the deferred stop would otherwise lose.
-var activeProfiles func()
-
-// StartProfiles starts the pprof captures behind the shared
-// -cpuprofile/-memprofile flags of bpsim and attacksim. The returned
-// stop function (also reachable as StopProfiles, and invoked by the
-// driver package's own exit paths) stops the CPU profile and writes the
-// heap profile after a final GC, so the memory numbers reflect live
-// steady-state allocations rather than garbage awaiting collection. It
-// is idempotent: deferred and explicit early-exit calls compose.
+// startProfiles starts the pprof captures behind -cpuprofile and
+// -memprofile; either path may be empty to skip that profile. The
+// returned stop ends the CPU profile and writes the heap profile after
+// a final GC, so the memory numbers reflect live steady-state
+// allocations rather than garbage awaiting collection.
 //
-// Either path may be empty to skip that profile. Errors are fatal (exit
-// 1): a sweep run specifically to capture a profile should not complete
-// having silently captured nothing.
-func StartProfiles(prog, cpuProfile, memProfile string) (stop func()) {
+// A CPU profile that cannot start is an error: a sweep run specifically
+// to capture a profile should not complete having captured nothing.
+func startProfiles(cpuProfile, memProfile string) (stop func() error, err error) {
 	var cpuFile *os.File
 	if cpuProfile != "" {
 		f, err := os.Create(cpuProfile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: -cpuprofile: %v\n", prog, err)
-			os.Exit(1)
+			return nil, fmt.Errorf("-cpuprofile: %w", err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: -cpuprofile: %v\n", prog, err)
-			os.Exit(1)
+			_ = f.Close()
+			return nil, fmt.Errorf("-cpuprofile: %w", err)
 		}
 		cpuFile = f
 	}
-	var once sync.Once
-	stop = func() {
-		once.Do(func() {
-			if cpuFile != nil {
-				pprof.StopCPUProfile()
-				if err := cpuFile.Close(); err != nil {
-					fmt.Fprintf(os.Stderr, "%s: -cpuprofile: %v\n", prog, err)
-				}
+	return func() error {
+		var cpuErr, memErr error
+		if cpuFile != nil {
+			pprof.StopCPUProfile()
+			if err := cpuFile.Close(); err != nil {
+				cpuErr = fmt.Errorf("-cpuprofile: %w", err)
 			}
-			if memProfile != "" {
-				f, err := os.Create(memProfile)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "%s: -memprofile: %v\n", prog, err)
-					return
-				}
-				runtime.GC()
-				if err := pprof.WriteHeapProfile(f); err != nil {
-					fmt.Fprintf(os.Stderr, "%s: -memprofile: %v\n", prog, err)
-				}
-				if err := f.Close(); err != nil {
-					fmt.Fprintf(os.Stderr, "%s: -memprofile: %v\n", prog, err)
-				}
+		}
+		if memProfile != "" {
+			if err := writeHeapProfile(memProfile); err != nil {
+				memErr = fmt.Errorf("-memprofile: %w", err)
 			}
-		})
-	}
-	activeProfiles = stop
-	return stop
+		}
+		return errors.Join(cpuErr, memErr)
+	}, nil
 }
 
-// StopProfiles flushes any active profile captures. Safe to call any
-// number of times, including with none active; error paths must call it
-// before os.Exit, which skips deferred stops.
-func StopProfiles() {
-	if activeProfiles != nil {
-		activeProfiles()
+// writeHeapProfile writes a post-GC heap profile to path.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
+	runtime.GC()
+	return errors.Join(pprof.WriteHeapProfile(f), f.Close())
 }

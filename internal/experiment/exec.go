@@ -385,9 +385,6 @@ func (e *Executor) Planned() int {
 	return len(e.cells)
 }
 
-// Done returns the number of distinct specs resolved so far.
-func (e *Executor) Done() int { return e.CacheSize() }
-
 // Runs returns how many simulations have actually executed — cache hits
 // and within-batch duplicates are not counted.
 func (e *Executor) Runs() uint64 { return e.runs.Load() }

@@ -251,8 +251,8 @@ func TestPlannerDeclaresGrid(t *testing.T) {
 	if got := e.Plan(planner); got != 72 {
 		t.Fatalf("planned %d distinct specs, want 72", got)
 	}
-	if e.Planned() != 72 || e.Done() != 0 {
-		t.Fatalf("Planned/Done = %d/%d, want 72/0", e.Planned(), e.Done())
+	if e.Planned() != 72 || e.CacheSize() != 0 {
+		t.Fatalf("Planned/CacheSize = %d/%d, want 72/0", e.Planned(), e.CacheSize())
 	}
 }
 

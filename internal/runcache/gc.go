@@ -25,6 +25,13 @@ type GCOptions struct {
 	Now time.Time
 }
 
+// The default GC bounds of bpsim -cache-gc and bpserve's periodic
+// pass.
+const (
+	DefaultGCMaxAge   = 30 * 24 * time.Hour
+	DefaultGCMaxBytes = 4 << 30
+)
+
 // GCReport summarizes one garbage-collection pass.
 type GCReport struct {
 	// SchemaDirsRemoved counts superseded per-schema subdirectories

@@ -200,8 +200,8 @@ func TestPlannerCoversTheSweep(t *testing.T) {
 	if got := exec.Planned(); got != planned {
 		t.Fatalf("real sweep grew the plan: %d planned, %d after running", planned, got)
 	}
-	if exec.Done() != planned {
-		t.Fatalf("resolved %d of %d planned cells", exec.Done(), planned)
+	if exec.CacheSize() != planned {
+		t.Fatalf("resolved %d of %d planned cells", exec.CacheSize(), planned)
 	}
 }
 
