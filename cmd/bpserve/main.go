@@ -56,7 +56,6 @@ import (
 	"xorbp/internal/fleet"
 	"xorbp/internal/runcache"
 	"xorbp/internal/runner"
-	"xorbp/internal/trace"
 	"xorbp/internal/wire"
 )
 
@@ -157,9 +156,7 @@ func main() {
 		}
 	}
 	if st != nil {
-		// Both live schemas sharing the directory survive the periodic
-		// sweep: the experiment/attack run cache and bptrace's recordings.
-		stopGC := runcache.StartGC(*cacheDir, []string{wire.SchemaVersion(), trace.CacheSchema()},
+		stopGC := runcache.StartGC(*cacheDir, wire.SchemaVersion(),
 			*gcInterval, runcache.GCOptions{MaxAge: *gcAge, MaxBytes: *gcMaxBytes}, os.Stderr)
 		defer stopGC()
 	}

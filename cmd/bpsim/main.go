@@ -15,9 +15,9 @@
 // deterministic for any worker count, topology and shard split.
 //
 // -cache-gc garbage-collects the cache directory instead of running
-// experiments: superseded schema subdirectories are removed, then
-// entries older than -gc-age, then the oldest survivors until the
-// directory fits -gc-max-bytes.
+// experiments: every schema subdirectory but the current run schema's
+// is removed as superseded, then entries older than -gc-age, then the
+// oldest survivors until the directory fits -gc-max-bytes.
 package main
 
 import (
@@ -32,7 +32,6 @@ import (
 	"xorbp/internal/hwcost"
 	"xorbp/internal/report"
 	"xorbp/internal/runcache"
-	"xorbp/internal/trace"
 	"xorbp/internal/workload"
 )
 
@@ -91,10 +90,7 @@ func main() {
 			if f.CacheDir() == "" {
 				return errors.New("-cache-gc needs a cache directory (-cache)")
 			}
-			// Both live schemas sharing the directory survive the sweep:
-			// the experiment run cache and bptrace's recording cache.
-			rep, err := runcache.GC(f.CacheDir(),
-				[]string{experiment.SchemaVersion(), trace.CacheSchema()},
+			rep, err := runcache.GC(f.CacheDir(), experiment.SchemaVersion(),
 				runcache.GCOptions{MaxAge: *gcAge, MaxBytes: *gcMaxBytes})
 			if err != nil {
 				return fmt.Errorf("cache-gc: %w", err)

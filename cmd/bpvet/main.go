@@ -15,10 +15,9 @@
 //
 //	-run list    run only the named analyzers (comma-separated)
 //	-json        print the versioned JSON report to stdout
-//	-sarif       print a SARIF 2.1.0 log to stdout
 //	-github      print GitHub Actions ::error annotations to stdout
-//	-out FILE    also write the report to FILE (SARIF with -sarif,
-//	             JSON otherwise), independent of what stdout shows
+//	-out FILE    also write the JSON report to FILE, independent of
+//	             what stdout shows
 //	-fix         apply suggested fixes to the source files
 //
 // Exit status: 0 when no diagnostics remain (under -fix: when every
@@ -54,9 +53,8 @@ func main() {
 	var (
 		runList    = flag.String("run", "", "comma-separated analyzer names to run (default: all)")
 		jsonOut    = flag.Bool("json", false, "print the JSON report to stdout")
-		sarifOut   = flag.Bool("sarif", false, "print a SARIF 2.1.0 log to stdout")
 		githubOut  = flag.Bool("github", false, "print GitHub Actions ::error annotations to stdout")
-		outFile    = flag.String("out", "", "also write the report (JSON, or SARIF with -sarif) to this file")
+		outFile    = flag.String("out", "", "also write the JSON report to this file")
 		applyFixes = flag.Bool("fix", false, "apply suggested fixes to the source files")
 	)
 	flag.Usage = func() {
@@ -73,10 +71,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "bpvet: "+format+"\n", args...)
 		os.Exit(2)
 	}
-	if *jsonOut && *sarifOut {
-		fail("-json and -sarif are mutually exclusive (stdout carries one format)")
-	}
-
 	selected, err := selectAnalyzers(*runList)
 	if err != nil {
 		fail("%v", err)
@@ -105,11 +99,7 @@ func main() {
 
 	report := analysis.NewReport(diags, wd)
 	if *outFile != "" {
-		data := report.EncodeJSON()
-		if *sarifOut {
-			data = report.EncodeSARIF()
-		}
-		if err := os.WriteFile(*outFile, data, 0o644); err != nil {
+		if err := os.WriteFile(*outFile, report.EncodeJSON(), 0o644); err != nil {
 			fail("%v", err)
 		}
 	}
@@ -144,8 +134,6 @@ func main() {
 	switch {
 	case *jsonOut:
 		os.Stdout.Write(report.EncodeJSON())
-	case *sarifOut:
-		os.Stdout.Write(report.EncodeSARIF())
 	case *githubOut:
 		report.WriteGitHubAnnotations(os.Stdout)
 	default:

@@ -11,9 +11,7 @@ import (
 
 // Machine-readable diagnostic output. The JSON report is the canonical
 // interchange form — versioned, sorted, byte-deterministic — and the
-// SARIF and GitHub-annotation emitters are projections of it, so a
-// report written by one bpvet run can be re-rendered by another process
-// (CI downloads bpvet.json, emits annotations) without re-analyzing.
+// GitHub-annotation emitter is a projection of it.
 
 // ReportVersion is the JSON report schema version, bumped on any
 // incompatible field change.
@@ -115,115 +113,6 @@ func (r *Report) EncodeJSON() []byte {
 	b, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
 		// A Report contains only marshalable types; this is unreachable.
-		panic(err)
-	}
-	return append(b, '\n')
-}
-
-// DecodeReport parses a JSON report, verifying the schema version.
-func DecodeReport(data []byte) (*Report, error) {
-	var r Report
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("analysis: decoding report: %v", err)
-	}
-	if r.Version != ReportVersion {
-		return nil, fmt.Errorf("analysis: report schema version %d, want %d", r.Version, ReportVersion)
-	}
-	return &r, nil
-}
-
-// SARIF 2.1.0 skeleton — just enough of the standard for code-scanning
-// uploads: one run, one rule per analyzer, one result per diagnostic.
-type sarifLog struct {
-	Schema  string     `json:"$schema"`
-	Version string     `json:"version"`
-	Runs    []sarifRun `json:"runs"`
-}
-
-type sarifRun struct {
-	Tool    sarifTool     `json:"tool"`
-	Results []sarifResult `json:"results"`
-}
-
-type sarifTool struct {
-	Driver sarifDriver `json:"driver"`
-}
-
-type sarifDriver struct {
-	Name  string      `json:"name"`
-	Rules []sarifRule `json:"rules"`
-}
-
-type sarifRule struct {
-	ID string `json:"id"`
-}
-
-type sarifResult struct {
-	RuleID    string          `json:"ruleId"`
-	Level     string          `json:"level"`
-	Message   sarifMessage    `json:"message"`
-	Locations []sarifLocation `json:"locations"`
-}
-
-type sarifMessage struct {
-	Text string `json:"text"`
-}
-
-type sarifLocation struct {
-	PhysicalLocation sarifPhysical `json:"physicalLocation"`
-}
-
-type sarifPhysical struct {
-	ArtifactLocation sarifArtifact `json:"artifactLocation"`
-	Region           sarifRegion   `json:"region"`
-}
-
-type sarifArtifact struct {
-	URI string `json:"uri"`
-}
-
-type sarifRegion struct {
-	StartLine   int `json:"startLine"`
-	StartColumn int `json:"startColumn"`
-}
-
-// EncodeSARIF renders the report as a SARIF 2.1.0 log. Because it is
-// derived from the Report (not from live analysis state), a JSON report
-// round-trips: DecodeReport(jsonBytes).EncodeSARIF() equals the SARIF a
-// single run would have emitted directly.
-func (r *Report) EncodeSARIF() []byte {
-	seen := make(map[string]bool)
-	var rules []sarifRule
-	results := []sarifResult{}
-	for _, d := range r.Diagnostics {
-		if !seen[d.Analyzer] {
-			seen[d.Analyzer] = true
-			rules = append(rules, sarifRule{ID: d.Analyzer})
-		}
-		results = append(results, sarifResult{
-			RuleID:  d.Analyzer,
-			Level:   "error",
-			Message: sarifMessage{Text: d.Message},
-			Locations: []sarifLocation{{PhysicalLocation: sarifPhysical{
-				ArtifactLocation: sarifArtifact{URI: d.File},
-				Region:           sarifRegion{StartLine: d.Line, StartColumn: d.Column},
-			}}},
-		})
-	}
-	sort.Slice(rules, func(i, j int) bool { return rules[i].ID < rules[j].ID })
-	if rules == nil {
-		rules = []sarifRule{}
-	}
-	log := sarifLog{
-		Schema:  "https://json.schemastore.org/sarif-2.1.0.json",
-		Version: "2.1.0",
-		Runs: []sarifRun{{
-			Tool:    sarifTool{Driver: sarifDriver{Name: r.Tool, Rules: rules}},
-			Results: results,
-		}},
-	}
-	b, err := json.MarshalIndent(log, "", "  ")
-	if err != nil {
 		panic(err)
 	}
 	return append(b, '\n')

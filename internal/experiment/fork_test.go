@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"runtime"
 	"sort"
@@ -191,26 +192,52 @@ func TestPermutedBatchMatches(t *testing.T) {
 // TestSimSnapshotRestoreByteStable: restoring a mid-run snapshot into a
 // fresh sim and re-snapshotting must reproduce the donor bytes exactly
 // (so a prefix handed along a chain is stable however many times it is
-// re-derived), and the restored sim must finish with the donor's result.
+// re-derived), and the restored sim must finish with the straight run's
+// result. Every predictor under every mechanism is cut at a seeded
+// random cycle in the first half of its run, on Figure 1's core over a
+// single-core Table 3 pair and on an SMT-2 core over an SMT Table 3
+// pair; -short keeps one predictor per mechanism.
 func TestSimSnapshotRestoreByteStable(t *testing.T) {
-	spec := rekeySpec(40_000, microScale())
-	donor := newSim(spec)
-	if donor.advance(10_000) {
-		t.Fatal("sim completed before the snapshot point; scale too small")
-	}
-	data := donor.snapshot(nil)
+	scale := microScale()
+	preds := []string{"gshare", "perceptron", "tournament", "ltage", "tage_sc_l", "tage"}
+	mechs := []core.Mechanism{core.Baseline, core.CompleteFlush, core.PreciseFlush, core.XOR, core.NoisyXOR}
+	g := rng.NewXoshiro256(26)
+	for mi, mech := range mechs {
+		ps := preds
+		if testing.Short() {
+			ps = preds[mi : mi+1]
+		}
+		for _, pred := range ps {
+			opts := core.OptionsFor(mech)
+			for _, spec := range []runSpec{
+				singleSpec(opts, workload.SingleCorePairs()[0], scale.TimerPeriods[0]),
+				smt2Spec(opts, pred, workload.SMTPairs()[0], scale.TimerPeriods[1]),
+			} {
+				spec.predName = pred
+				spec.scale = scale
+				straight := newSim(spec)
+				straight.advance(cpu.NoCycleLimit)
+				cut := 1 + g.Uint64n(straight.c.Cycles()/2)
+				label := fmt.Sprintf("%s/%s/%s cut at cycle %d of %d", spec.cfg.Name, pred, mech, cut, straight.c.Cycles())
 
-	clone := newSim(spec)
-	if err := clone.restore(data); err != nil {
-		t.Fatalf("restore: %v", err)
-	}
-	if again := clone.snapshot(nil); !bytes.Equal(again, data) {
-		t.Fatal("restored sim re-snapshots differently from the donor bytes")
-	}
-	donor.advance(cpu.NoCycleLimit)
-	clone.advance(cpu.NoCycleLimit)
-	if dr, cr := donor.result(), clone.result(); !reflect.DeepEqual(dr, cr) {
-		t.Fatalf("restored sim result differs:\ndonor: %+v\nclone: %+v", dr, cr)
+				donor := newSim(spec)
+				if donor.advance(cut) {
+					t.Fatalf("%s: sim completed before the snapshot point", label)
+				}
+				data := donor.snapshot(nil)
+				clone := newSim(spec)
+				if err := clone.restore(data); err != nil {
+					t.Fatalf("%s: restore: %v", label, err)
+				}
+				if again := clone.snapshot(nil); !bytes.Equal(again, data) {
+					t.Fatalf("%s: restored sim re-snapshots differently from the donor bytes", label)
+				}
+				clone.advance(cpu.NoCycleLimit)
+				if want, got := straight.result(), clone.result(); !reflect.DeepEqual(want, got) {
+					t.Fatalf("%s: restored sim result differs:\nstraight: %+v\nrestored: %+v", label, want, got)
+				}
+			}
+		}
 	}
 }
 

@@ -17,7 +17,7 @@ type GCOptions struct {
 	// disables the age bound). Quarantined ".corrupt" segments age out
 	// the same way.
 	MaxAge time.Duration
-	// MaxBytes caps the total size of the kept schema directories after
+	// MaxBytes caps the total size of the live schema directory after
 	// the pass; the oldest segments are removed first until the cap
 	// holds (0 disables the size bound).
 	MaxBytes int64
@@ -38,13 +38,13 @@ type GCReport struct {
 	// removed wholesale.
 	SchemaDirsRemoved int
 	// EntriesRemoved counts files — segments and quarantined segments —
-	// removed from kept schema directories (aged out or evicted for
+	// removed from the live schema directory (aged out or evicted for
 	// size).
 	EntriesRemoved int
 	// BytesFreed is the total size removed, across both categories.
 	BytesFreed int64
-	// EntriesKept / BytesKept describe the files that remain in kept
-	// schema directories, live writers' segments included.
+	// EntriesKept / BytesKept describe the files that remain in the
+	// live schema directory, live writers' segments included.
 	EntriesKept int
 	BytesKept   int64
 }
@@ -69,26 +69,23 @@ func human(n int64) string {
 
 // GC garbage-collects the cache directory rooted at dir.
 //
-// Per-schema subdirectories whose schema is not in keepSchemas are
-// superseded — a binary writing that encoding no longer exists — and
-// are removed wholesale. Within the kept schemas, segments older than
-// MaxAge are removed, then the oldest survivors are evicted until the
-// directories fit MaxBytes. A segment is removed only while GC holds
-// its lock, so a live writer's segment is never collected (its size
-// still counts toward MaxBytes); a reader racing the pass loses at most
-// cache hits, never sees a torn record. Empty segments are a writer's
-// first instant and are left alone.
+// Per-schema subdirectories of any schema other than the live one are
+// superseded — no binary reads that encoding any more — and are removed
+// wholesale. Within the live schema, segments older than MaxAge are
+// removed, then the oldest survivors are evicted until the directory
+// fits MaxBytes. A segment is removed only while GC holds its lock, so
+// a live writer's segment is never collected (its size still counts
+// toward MaxBytes); a reader racing the pass loses at most cache hits,
+// never sees a torn record. Empty segments are a writer's first instant
+// and are left alone.
 //
 // A missing dir is not an error (there is nothing to collect).
-func GC(dir string, keepSchemas []string, o GCOptions) (GCReport, error) {
+func GC(dir, schema string, o GCOptions) (GCReport, error) {
 	var rep GCReport
 	if o.Now.IsZero() {
 		o.Now = time.Now() //bpvet:allow GC age cutoff; tests inject a fixed Now, results never see it
 	}
-	keep := make(map[string]bool, len(keepSchemas))
-	for _, s := range keepSchemas {
-		keep[schemaID(s)] = true
-	}
+	live := schemaID(schema)
 	des, err := os.ReadDir(dir)
 	if os.IsNotExist(err) {
 		return rep, nil
@@ -97,7 +94,7 @@ func GC(dir string, keepSchemas []string, o GCOptions) (GCReport, error) {
 		return rep, fmt.Errorf("runcache: %w", err)
 	}
 
-	// file is a kept schema directory's file, a candidate for the
+	// file is a live schema directory's file, a candidate for the
 	// age/size bounds.
 	type file struct {
 		path string
@@ -113,7 +110,7 @@ func GC(dir string, keepSchemas []string, o GCOptions) (GCReport, error) {
 			continue
 		}
 		sub := filepath.Join(dir, de.Name())
-		if !keep[de.Name()] {
+		if de.Name() != live {
 			freed, err := dirSize(sub)
 			if err != nil {
 				return rep, err
@@ -208,23 +205,22 @@ func dirSize(dir string) (int64, error) {
 
 // StartGC runs GC over dir on a fixed interval, so a long-lived worker
 // bounds its own disk use instead of waiting for a manual
-// `bpsim -cache-gc`. The schemas list names the live encodings whose
-// subdirectories survive (superseded schema generations are removed
-// wholesale); opts carries the same age/size bounds the manual sweep
-// takes. Reports are written to log (one line per pass; nil discards
+// `bpsim -cache-gc`. schema names the live encoding, whose subdirectory
+// survives (every other schema directory is removed wholesale); opts
+// carries the same age/size bounds the manual sweep takes. Reports are written to log (one line per pass; nil discards
 // them). The returned stop function ends the loop; it does not
 // interrupt a pass already in flight.
 //
 // Collecting under a store another process has open is safe: GC never
 // removes a segment whose writer still holds its lock, and a vanished
 // entry only costs a future re-simulation.
-func StartGC(dir string, schemas []string, interval time.Duration, opts GCOptions, log io.Writer) (stop func()) {
+func StartGC(dir, schema string, interval time.Duration, opts GCOptions, log io.Writer) (stop func()) {
 	if interval <= 0 || dir == "" {
 		return func() {}
 	}
 	done := make(chan struct{})
 	pass := func() {
-		rep, err := GC(dir, schemas, opts)
+		rep, err := GC(dir, schema, opts)
 		if log == nil {
 			return
 		}

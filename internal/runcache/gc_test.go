@@ -29,25 +29,25 @@ func fill(t *testing.T, dir, schema string, n int) []string {
 	return segs
 }
 
-// TestGCSweepsSupersededSchemas: directories of schemas not in the keep
-// set are removed wholesale; every kept schema's entries survive.
+// TestGCSweepsSupersededSchemas: the directory of every schema but the
+// live one is removed wholesale; the live schema's entries survive.
 func TestGCSweepsSupersededSchemas(t *testing.T) {
 	dir := t.TempDir()
-	fill(t, dir, "live-schema-a", 3)
-	fill(t, dir, "live-schema-b", 2) // e.g. the trace cache sharing the dir
+	fill(t, dir, "live-schema", 3)
 	fill(t, dir, "superseded-schema", 4)
+	fill(t, dir, "other-tool-schema", 2) // e.g. a former trace recording cache
 
-	rep, err := GC(dir, []string{"live-schema-a", "live-schema-b"}, GCOptions{})
+	rep, err := GC(dir, "live-schema", GCOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.SchemaDirsRemoved != 1 || rep.BytesFreed == 0 {
-		t.Fatalf("report = %+v, want 1 schema dir removed with bytes freed", rep)
+	if rep.SchemaDirsRemoved != 2 || rep.BytesFreed == 0 {
+		t.Fatalf("report = %+v, want 2 schema dirs removed with bytes freed", rep)
 	}
-	if rep.EntriesKept != 5 {
-		t.Fatalf("kept %d segments, want 5", rep.EntriesKept)
+	if rep.EntriesKept != 3 {
+		t.Fatalf("kept %d segments, want 3", rep.EntriesKept)
 	}
-	for schema, want := range map[string]int{"live-schema-a": 3, "live-schema-b": 2} {
+	for schema, want := range map[string]int{"live-schema": 3, "superseded-schema": 0, "other-tool-schema": 0} {
 		st, err := Open(dir, schema)
 		if err != nil {
 			t.Fatal(err)
@@ -55,9 +55,6 @@ func TestGCSweepsSupersededSchemas(t *testing.T) {
 		if st.Len() != want {
 			t.Fatalf("schema %q has %d entries after GC, want %d", schema, st.Len(), want)
 		}
-	}
-	if st, _ := Open(dir, "superseded-schema"); st.Len() != 0 {
-		t.Fatal("superseded schema entries survived the sweep")
 	}
 }
 
@@ -81,7 +78,7 @@ func TestGCAgeBound(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rep, err := GC(dir, []string{"s"}, GCOptions{MaxAge: 24 * time.Hour})
+	rep, err := GC(dir, "s", GCOptions{MaxAge: 24 * time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +110,7 @@ func TestGCSizeBound(t *testing.T) {
 	one := info.Size()
 
 	// Budget for two segments: the two oldest must go.
-	rep, err := GC(dir, []string{"s"}, GCOptions{MaxBytes: 2 * one})
+	rep, err := GC(dir, "s", GCOptions{MaxBytes: 2 * one})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +140,7 @@ func TestGCLeavesEmptySegments(t *testing.T) {
 	if err := os.WriteFile(empty, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := GC(dir, []string{"s"}, GCOptions{MaxAge: 1, MaxBytes: 1}); err != nil {
+	if _, err := GC(dir, "s", GCOptions{MaxAge: 1, MaxBytes: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(empty); err != nil {
@@ -154,7 +151,7 @@ func TestGCLeavesEmptySegments(t *testing.T) {
 // TestGCMissingDirIsNoop: collecting a directory that does not exist is
 // not an error.
 func TestGCMissingDirIsNoop(t *testing.T) {
-	rep, err := GC(filepath.Join(t.TempDir(), "never-created"), []string{"s"}, GCOptions{})
+	rep, err := GC(filepath.Join(t.TempDir(), "never-created"), "s", GCOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +168,7 @@ func TestGCKeepsForeignRootFiles(t *testing.T) {
 	if err := os.WriteFile(foreign, []byte("hands off"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := GC(dir, []string{"s"}, GCOptions{MaxAge: time.Nanosecond}); err != nil {
+	if _, err := GC(dir, "s", GCOptions{MaxAge: time.Nanosecond}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(foreign); err != nil {
@@ -199,7 +196,7 @@ func TestStartGC(t *testing.T) {
 	}
 
 	var log bytes.Buffer
-	stop := StartGC(dir, []string{"xorbp-run/epoch9/live"}, 10*time.Millisecond,
+	stop := StartGC(dir, "xorbp-run/epoch9/live", 10*time.Millisecond,
 		GCOptions{}, &log)
 	defer stop()
 	deadline := time.Now().Add(5 * time.Second)

@@ -479,7 +479,7 @@ func TestLiveSegmentNeverRenamedOrCollected(t *testing.T) {
 	if len(segments(t, s, ".corrupt")) != 0 {
 		t.Fatal("a live writer's segment was quarantined")
 	}
-	rep, err := GC(dir, []string{"schema-a"}, GCOptions{MaxAge: 1, MaxBytes: 1})
+	rep, err := GC(dir, "schema-a", GCOptions{MaxAge: 1, MaxBytes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,7 +488,7 @@ func TestLiveSegmentNeverRenamedOrCollected(t *testing.T) {
 	}
 
 	s.exit()
-	if rep, err = GC(dir, []string{"schema-a"}, GCOptions{MaxAge: 1}); err != nil {
+	if rep, err = GC(dir, "schema-a", GCOptions{MaxAge: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(seg); !os.IsNotExist(err) || rep.EntriesRemoved != 1 {

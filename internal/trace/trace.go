@@ -1,321 +1,44 @@
-// Package trace records and replays branch traces in a compact binary
-// format. Traces decouple workload generation from simulation: a
-// synthetic (or, in principle, externally captured) branch stream can be
-// stored once and replayed bit-identically across experiments, predictor
-// configurations and machines — the reproduction workflow gem5 users get
-// from SimPoint checkpoints.
-//
-// Format (little-endian):
-//
-//	header:  magic "XBPT" | u16 version | u16 flags | u64 reserved
-//	record:  u8 class+flags | uvarint pcDelta(zigzag) | uvarint gap
-//	         | uvarint targetDelta(zigzag, taken records only)
-//	end:     u8 0xFF | uvarint count
-//
-// PC and target are delta-encoded against the previous record's values;
-// typical records take 3-6 bytes. The 0xFF sentinel (an invalid class
-// nibble) terminates the stream and carries the record count for
-// integrity checking.
+// Package trace captures a branch stream in memory and replays it. A
+// capture decouples the replayed events from the generator that made
+// them: replay pays a copy per event instead of the generator's draws,
+// and loops over the capture, so a simulation can run longer than it.
 package trace
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 
-	"xorbp/internal/predictor"
 	"xorbp/internal/workload"
 )
 
-// Magic identifies trace files.
-const Magic = "XBPT"
-
-// Version of the on-disk format.
-const Version = 1
-
-// cacheEpoch versions the record cache beyond the trace file format:
-// bump it when workload generator semantics change (profile branch
-// mixes, syscall rates, RNG draws) so stale recordings are invalidated
-// rather than served — Version only tracks the on-disk encoding, not
-// what the generators emit.
-const cacheEpoch = 1
-
-// CacheSchema identifies bptrace's recording cache encoding within a
-// shared runcache directory. It lives here (not in cmd/bptrace) so
-// cache maintenance — bpsim -cache-gc — can recognize the trace schema
-// as live rather than sweeping it as superseded.
-func CacheSchema() string {
-	return fmt.Sprintf("xorbp-trace/v%d/epoch%d", Version, cacheEpoch)
-}
-
-const (
-	flagTaken   = 1 << 4
-	flagSyscall = 1 << 5
-	classMask   = 0x0f
-)
-
-var (
-	// ErrBadMagic reports a non-trace file.
-	ErrBadMagic = errors.New("trace: bad magic")
-	// ErrVersion reports an unsupported format version.
-	ErrVersion = errors.New("trace: unsupported version")
-)
-
-// Writer streams branch events to w.
-type Writer struct {
-	w      *bufio.Writer
-	count  uint64
-	lastPC uint64
-	lastTG uint64
-	closed bool
-}
-
-// NewWriter starts a trace on w. Call Close to finalize the count
-// trailer.
-func NewWriter(w io.Writer) (*Writer, error) {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(Magic); err != nil {
-		return nil, err
-	}
-	var hdr [12]byte
-	binary.LittleEndian.PutUint16(hdr[0:2], Version)
-	binary.LittleEndian.PutUint16(hdr[2:4], 0)
-	binary.LittleEndian.PutUint64(hdr[4:12], 0) // reserved
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return nil, err
-	}
-	return &Writer{w: bw}, nil
-}
-
-// noEOF converts a bare io.EOF inside a record into ErrUnexpectedEOF:
-// only the sentinel may end a stream cleanly.
-func noEOF(err error) error {
-	if err == io.EOF {
-		return io.ErrUnexpectedEOF
-	}
-	return err
-}
-
-// zigzag encodes a signed delta as unsigned.
-func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
-
-// unzigzag inverts zigzag.
-func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
-// Write appends one event.
-func (t *Writer) Write(ev *workload.BranchEvent) error {
-	if t.closed {
-		return errors.New("trace: write after Close")
-	}
-	head := byte(ev.Class) & classMask
-	if ev.Taken {
-		head |= flagTaken
-	}
-	if ev.Syscall {
-		head |= flagSyscall
-	}
-	if err := t.w.WriteByte(head); err != nil {
-		return err
-	}
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], zigzag(int64(ev.PC)-int64(t.lastPC)))
-	if _, err := t.w.Write(buf[:n]); err != nil {
-		return err
-	}
-	n = binary.PutUvarint(buf[:], uint64(ev.Gap))
-	if _, err := t.w.Write(buf[:n]); err != nil {
-		return err
-	}
-	if ev.Taken {
-		n = binary.PutUvarint(buf[:], zigzag(int64(ev.Target)-int64(t.lastTG)))
-		if _, err := t.w.Write(buf[:n]); err != nil {
-			return err
-		}
-		t.lastTG = ev.Target
-	}
-	t.lastPC = ev.PC
-	t.count++
-	return nil
-}
-
-// Count returns the number of events written so far.
-func (t *Writer) Count() uint64 { return t.count }
-
-// Close writes the end sentinel with the record count and flushes.
-func (t *Writer) Close() error {
-	if t.closed {
-		return nil
-	}
-	t.closed = true
-	if err := t.w.WriteByte(0xff); err != nil {
-		return err
-	}
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], t.count)
-	if _, err := t.w.Write(buf[:n]); err != nil {
-		return err
-	}
-	return t.w.Flush()
-}
-
-// Reader streams events back from r.
-type Reader struct {
-	r      *bufio.Reader
-	n      uint64 // records read
-	lastPC uint64
-	lastTG uint64
-}
-
-// NewReader validates the header and returns a reader.
-func NewReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, err
-	}
-	if string(magic) != Magic {
-		return nil, ErrBadMagic
-	}
-	hdr := make([]byte, 12)
-	if _, err := io.ReadFull(br, hdr); err != nil {
-		return nil, err
-	}
-	if v := binary.LittleEndian.Uint16(hdr[0:2]); v != Version {
-		return nil, fmt.Errorf("%w: %d", ErrVersion, v)
-	}
-	return &Reader{r: br}, nil
-}
-
-// Next reads one event; io.EOF after the sentinel (whose count is
-// verified against the records actually read).
-func (t *Reader) Next(ev *workload.BranchEvent) error {
-	head, err := t.r.ReadByte()
-	if err == io.EOF {
-		// Raw EOF without the sentinel: the stream was truncated.
-		return io.ErrUnexpectedEOF
-	}
-	if err != nil {
-		return err
-	}
-	if head == 0xff {
-		count, err := binary.ReadUvarint(t.r)
-		if err != nil {
-			return noEOF(err)
-		}
-		if count != t.n {
-			return fmt.Errorf("trace: corrupt stream: sentinel count %d, read %d records", count, t.n)
-		}
-		return io.EOF
-	}
-	dpc, err := binary.ReadUvarint(t.r)
-	if err != nil {
-		return noEOF(err)
-	}
-	gap, err := binary.ReadUvarint(t.r)
-	if err != nil {
-		return noEOF(err)
-	}
-	ev.Class = predictor.Class(head & classMask)
-	ev.Taken = head&flagTaken != 0
-	ev.Syscall = head&flagSyscall != 0
-	ev.PC = uint64(int64(t.lastPC) + unzigzag(dpc))
-	ev.Gap = uint16(gap)
-	ev.Target = 0
-	if ev.Taken {
-		dtg, err := binary.ReadUvarint(t.r)
-		if err != nil {
-			return noEOF(err)
-		}
-		ev.Target = uint64(int64(t.lastTG) + unzigzag(dtg))
-		t.lastTG = ev.Target
-	}
-	t.lastPC = ev.PC
-	t.n++
-	return nil
-}
-
-// ReadBatch decodes up to len(evs) events straight into evs — the bulk
-// seam simulation rings refill through, so replay pays the decode loop
-// once per batch instead of a call per record. It returns the number of
-// events decoded; io.EOF (with n possibly > 0) after the verified
-// sentinel, or the first decode error.
-func (t *Reader) ReadBatch(evs []workload.BranchEvent) (int, error) {
-	for i := range evs {
-		if err := t.Next(&evs[i]); err != nil {
-			return i, err
-		}
-	}
-	return len(evs), nil
-}
-
-// Program wraps a fully-buffered trace as a workload.Program that loops
-// over the recorded events (so simulations can run longer than the
-// capture).
+// Program is an in-memory capture replayed as a workload.Program that
+// loops over the recorded events.
 type Program struct {
 	name   string
 	events []workload.BranchEvent
 	pos    int
 }
 
-// Record captures n events from any Program into a replayable Program
-// and, optionally, writes them to w (pass nil to skip serialization).
+// Record captures the next n events of src into a replayable Program.
+// The target of a not-taken branch is architecturally irrelevant, so it
+// is captured as zero. w must be nil: captures are not written out.
 func Record(src workload.Program, n int, w io.Writer) (*Program, error) {
-	p := &Program{name: src.Name() + ".trace"}
-	var tw *Writer
 	if w != nil {
-		var err error
-		tw, err = NewWriter(w)
-		if err != nil {
-			return nil, err
-		}
+		return nil, errors.New("trace: captures are in memory only; pass a nil writer")
 	}
+	if n < 1 {
+		// An empty capture has nothing to loop over: Next would index
+		// past the end and NextBatch would never fill its ring.
+		return nil, errors.New("trace: empty capture")
+	}
+	p := &Program{name: src.Name() + ".trace", events: make([]workload.BranchEvent, n)}
 	var ev workload.BranchEvent
-	for i := 0; i < n; i++ {
+	for i := range p.events {
 		src.Next(&ev)
 		if !ev.Taken {
-			// The target of a not-taken branch is architecturally
-			// irrelevant and is not serialized; normalize so replay is
-			// bit-identical to the on-disk form.
 			ev.Target = 0
 		}
-		p.events = append(p.events, ev)
-		if tw != nil {
-			if err := tw.Write(&ev); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if tw != nil {
-		if err := tw.Close(); err != nil {
-			return nil, err
-		}
-	}
-	return p, nil
-}
-
-// Load reads an entire trace from r into a replayable Program, decoding
-// in batches.
-func Load(name string, r io.Reader) (*Program, error) {
-	tr, err := NewReader(r)
-	if err != nil {
-		return nil, err
-	}
-	p := &Program{name: name}
-	var chunk [1024]workload.BranchEvent
-	for {
-		n, err := tr.ReadBatch(chunk[:])
-		p.events = append(p.events, chunk[:n]...)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	if len(p.events) == 0 {
-		return nil, errors.New("trace: empty trace")
+		p.events[i] = ev
 	}
 	return p, nil
 }

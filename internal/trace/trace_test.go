@@ -2,64 +2,60 @@ package trace
 
 import (
 	"bytes"
-	"errors"
-	"io"
 	"testing"
-	"testing/quick"
 
 	"xorbp/internal/predictor"
 	"xorbp/internal/workload"
 )
 
+// scripted emits a fixed event list once.
+type scripted struct {
+	events []workload.BranchEvent
+	pos    int
+}
+
+func (s *scripted) Name() string { return "scripted" }
+
+func (s *scripted) Next(ev *workload.BranchEvent) {
+	*ev = s.events[s.pos]
+	s.pos++
+}
+
+// TestRoundTrip: a capture of n events replays the source stream's first
+// n events, with not-taken targets zeroed, and loops back to its first
+// event after the last.
 func TestRoundTrip(t *testing.T) {
+	const n = 20000
+	rec, err := Record(workload.NewGenerator(workload.MustByName("gcc"), 7), n, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Len() != n {
+		t.Fatalf("recorded %d events, want %d", rec.Len(), n)
+	}
 	src := workload.NewGenerator(workload.MustByName("gcc"), 7)
-	var buf bytes.Buffer
-	rec, err := Record(src, 20000, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Len() != 20000 {
-		t.Fatalf("recorded %d events, want 20000", rec.Len())
-	}
-	loaded, err := Load("gcc", &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Len() != 20000 {
-		t.Fatalf("loaded %d events, want 20000", loaded.Len())
-	}
-	// Replay both and compare bit-identically.
-	var a, b workload.BranchEvent
-	for i := 0; i < 40000; i++ { // loops past the end deliberately
-		rec.Next(&a)
-		loaded.Next(&b)
-		if a != b {
-			t.Fatalf("event %d mismatch: %+v vs %+v", i, a, b)
+	want := make([]workload.BranchEvent, n)
+	zeroed := 0
+	for i := range want {
+		src.Next(&want[i])
+		if !want[i].Taken && want[i].Target != 0 {
+			want[i].Target = 0
+			zeroed++
 		}
 	}
+	var got workload.BranchEvent
+	for i := 0; i < 2*n+n/2; i++ { // past the end twice
+		rec.Next(&got)
+		if got != want[i%n] {
+			t.Fatalf("replayed event %d = %+v, want source event %d = %+v", i, got, i%n, want[i%n])
+		}
+	}
+	t.Logf("%d not-taken targets zeroed", zeroed)
 }
 
-func TestCompactEncoding(t *testing.T) {
-	src := workload.NewGenerator(workload.MustByName("libquantum"), 3)
-	var buf bytes.Buffer
-	if _, err := Record(src, 10000, &buf); err != nil {
-		t.Fatal(err)
-	}
-	perRecord := float64(buf.Len()) / 10000
-	if perRecord > 8 {
-		t.Fatalf("%.1f bytes/record, want <= 8 (delta coding broken?)", perRecord)
-	}
-}
-
-func TestZigzagProperty(t *testing.T) {
-	f := func(v int64) bool { return unzigzag(zigzag(v)) == v }
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
+// TestEventFieldFidelity: every class and flag combination survives the
+// capture, and a not-taken branch's target is captured as zero.
 func TestEventFieldFidelity(t *testing.T) {
-	// Every class/flag combination survives the round trip.
 	events := []workload.BranchEvent{
 		{PC: 0x1000, Class: predictor.CondDirect, Taken: true, Target: 0x2000, Gap: 1},
 		{PC: 0x1004, Class: predictor.CondDirect, Taken: false, Gap: 63},
@@ -67,86 +63,36 @@ func TestEventFieldFidelity(t *testing.T) {
 		{PC: 0x8, Class: predictor.Return, Taken: true, Target: 0xffffffff, Gap: 255},
 		{PC: 0x40, Class: predictor.Call, Taken: true, Target: 0x44, Gap: 2},
 		{PC: 0x44, Class: predictor.UncondDirect, Taken: true, Target: 0x40, Gap: 12},
+		{PC: 0x48, Class: predictor.CondDirect, Taken: false, Target: 0x80, Gap: 3, Syscall: true},
 	}
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
+	rec, err := Record(&scripted{events: events}, len(events), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range events {
-		if err := w.Write(&events[i]); err != nil {
-			t.Fatal(err)
+	var got workload.BranchEvent
+	for i, w := range events {
+		if !w.Taken {
+			w.Target = 0
+		}
+		rec.Next(&got)
+		if got != w {
+			t.Fatalf("event %d: got %+v, want %+v", i, got, w)
 		}
 	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range events {
-		var got workload.BranchEvent
-		if err := r.Next(&got); err != nil {
-			t.Fatalf("event %d: %v", i, err)
-		}
-		if got != events[i] {
-			t.Fatalf("event %d: got %+v, want %+v", i, got, events[i])
-		}
-	}
-	var sentinel workload.BranchEvent
-	if err := r.Next(&sentinel); err != io.EOF {
-		t.Fatalf("expected EOF after sentinel, got %v", err)
-	}
 }
 
-func TestBadMagic(t *testing.T) {
-	if _, err := NewReader(bytes.NewReader([]byte("NOPE0000000000000000"))); !errors.Is(err, ErrBadMagic) {
-		t.Fatalf("expected ErrBadMagic, got %v", err)
-	}
-}
-
-func TestCorruptCountDetected(t *testing.T) {
-	src := workload.NewGenerator(workload.MustByName("mcf"), 1)
-	var buf bytes.Buffer
-	if _, err := Record(src, 100, &buf); err != nil {
-		t.Fatal(err)
-	}
-	// Truncate mid-stream: drop the last 3 bytes (sentinel + count).
-	data := buf.Bytes()[:buf.Len()-3]
-	_, err := Load("mcf", bytes.NewReader(data))
-	if err == nil {
-		t.Fatal("truncated trace loaded without error")
-	}
-}
-
-func TestWriteAfterClose(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	ev := workload.BranchEvent{PC: 4, Gap: 1}
-	if err := w.Write(&ev); err == nil {
-		t.Fatal("write after close succeeded")
-	}
-}
-
+// TestTraceDrivesSimulator: a capture is usable anywhere a generator
+// is, under its source's name.
 func TestTraceDrivesSimulator(t *testing.T) {
-	// A replayed trace must be usable anywhere a generator is.
-	src := workload.NewGenerator(workload.MustByName("hmmer"), 5)
-	var buf bytes.Buffer
-	if _, err := Record(src, 5000, &buf); err != nil {
-		t.Fatal(err)
-	}
-	prog, err := Load("hmmer", &buf)
+	prog, err := Record(workload.NewGenerator(workload.MustByName("hmmer"), 5), 5000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var p workload.Program = prog
 	var ev workload.BranchEvent
 	conds := 0
 	for i := 0; i < 10000; i++ {
-		prog.Next(&ev)
+		p.Next(&ev)
 		if ev.Class == predictor.CondDirect {
 			conds++
 		}
@@ -154,80 +100,53 @@ func TestTraceDrivesSimulator(t *testing.T) {
 	if conds == 0 {
 		t.Fatal("replayed trace has no conditional branches")
 	}
-	if prog.Name() != "hmmer" {
-		t.Fatalf("name = %q", prog.Name())
+	if p.Name() != "hmmer.trace" {
+		t.Fatalf("name = %q, want hmmer.trace", p.Name())
 	}
 }
 
-// TestReadBatchAndProgramNextBatch covers the bulk decode path: a
-// recorded stream batch-decoded straight into caller buffers matches
-// per-record decoding, and the buffered Program's NextBatch replays the
-// loop identically to Next.
-func TestReadBatchAndProgramNextBatch(t *testing.T) {
-	src := workload.NewGenerator(workload.MustByName("gcc"), 5)
-	var buf bytes.Buffer
-	if _, err := Record(src, 3000, &buf); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-
-	one, err := NewReader(bytes.NewReader(raw))
+// TestProgramNextBatchMatchesNext: NextBatch loops over the capture
+// exactly like Next, with a ring that straddles the wrap at varying
+// offsets.
+func TestProgramNextBatchMatchesNext(t *testing.T) {
+	src := func() workload.Program { return workload.NewGenerator(workload.MustByName("gcc"), 5) }
+	pa, err := Record(src(), 3000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want []workload.BranchEvent
+	pb, err := Record(src(), 3000, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var ev workload.BranchEvent
-	for {
-		if err := one.Next(&ev); err == io.EOF {
-			break
-		} else if err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, ev)
-	}
-
-	batch, err := NewReader(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []workload.BranchEvent
-	chunk := make([]workload.BranchEvent, 257)
-	for {
-		n, err := batch.ReadBatch(chunk)
-		got = append(got, chunk[:n]...)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("batch decoded %d events, per-record %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("event %d differs between decode paths", i)
-		}
-	}
-
-	// Program.NextBatch must loop over the capture exactly like Next.
-	pa, err := Load("a", bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pb, err := Load("b", bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
 	ring := make([]workload.BranchEvent, 331)
 	for round := 0; round < 20; round++ {
-		pb.NextBatch(ring)
+		if n := pb.NextBatch(ring); n != len(ring) {
+			t.Fatalf("round %d: NextBatch filled %d of %d", round, n, len(ring))
+		}
 		for i := range ring {
 			pa.Next(&ev)
 			if ring[i] != ev {
 				t.Fatalf("round %d event %d differs between NextBatch and Next", round, i)
 			}
 		}
+	}
+}
+
+// TestRecordErrors: an empty capture, which Next and NextBatch could not
+// loop over, and a writer, which nothing reads back, are both refused.
+func TestRecordErrors(t *testing.T) {
+	gen := workload.NewGenerator(workload.MustByName("mcf"), 1)
+	for _, n := range []int{0, -1} {
+		if p, err := Record(gen, n, nil); err == nil {
+			t.Fatalf("Record(n=%d) = %d events, want an error", n, p.Len())
+		}
+	}
+	var buf bytes.Buffer
+	if _, err := Record(gen, 100, &buf); err == nil {
+		t.Fatal("Record with a writer succeeded")
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("Record wrote %d bytes", buf.Len())
 	}
 }

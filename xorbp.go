@@ -11,12 +11,14 @@
 // in a few calls. The building blocks live in internal/ packages; the
 // per-experiment runners in internal/experiment; the attacks in
 // internal/attack. Command-line entry points: cmd/bpsim (performance
-// figures/tables), cmd/attacksim (PoC attacks and Table 1), cmd/hwcost
-// (Table 5).
+// figures and tables, Table 5's hardware cost included) and
+// cmd/attacksim (PoC attacks and Table 1).
 package xorbp
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"xorbp/internal/core"
 	"xorbp/internal/cpu"
@@ -58,10 +60,12 @@ type Config struct {
 	// Isolation selects and configures the defense.
 	Isolation Options
 	// Predictor names the direction predictor: "gshare", "tournament",
-	// "ltage", "tage_sc_l" (the gem5 set) or "tage" (the FPGA prototype).
+	// "ltage", "tage_sc_l" (the gem5 set), "perceptron" or "tage" (the
+	// FPGA prototype, the default); see Predictors().
 	Predictor string
-	// SMTThreads is the number of hardware threads (1, 2 or 4). 1 selects
-	// the FPGA single-threaded core configuration; >1 the gem5 SMT model.
+	// SMTThreads is the number of hardware threads, 1 to 8 and at most
+	// one per benchmark (0 = 1). 1 selects the FPGA single-threaded core
+	// configuration; >1 the gem5 SMT model.
 	SMTThreads int
 	// TimerPeriod is the scheduler quantum in cycles (0 = 2M, the scaled
 	// stand-in for Linux's 8M-cycle slice).
@@ -94,6 +98,15 @@ func New(cfg Config) (*System, error) {
 	}
 	if len(cfg.Benchmarks) == 0 {
 		return nil, fmt.Errorf("xorbp: no benchmarks given")
+	}
+	if preds := Predictors(); !slices.Contains(preds, cfg.Predictor) {
+		return nil, fmt.Errorf("xorbp: unknown predictor %q (available: %s)", cfg.Predictor, strings.Join(preds, ", "))
+	}
+	switch {
+	case cfg.SMTThreads < 1 || cfg.SMTThreads > core.MaxHWThreads:
+		return nil, fmt.Errorf("xorbp: %d hardware threads outside 1..%d", cfg.SMTThreads, core.MaxHWThreads)
+	case cfg.SMTThreads > len(cfg.Benchmarks):
+		return nil, fmt.Errorf("xorbp: %d hardware threads for %d benchmarks", cfg.SMTThreads, len(cfg.Benchmarks))
 	}
 	var progs []workload.Program
 	for i, name := range cfg.Benchmarks {

@@ -3,11 +3,22 @@ package xorbp
 import "testing"
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(Config{}); err == nil {
-		t.Fatal("empty config should error (no benchmarks)")
-	}
-	if _, err := New(Config{Benchmarks: []string{"not-a-benchmark"}}); err == nil {
-		t.Fatal("unknown benchmark should error")
+	for _, tc := range []struct {
+		why string
+		cfg Config
+	}{
+		{"no benchmarks", Config{}},
+		{"unknown benchmark", Config{Benchmarks: []string{"not-a-benchmark"}}},
+		{"unknown predictor", Config{Predictor: "nope", Benchmarks: []string{"gcc"}}},
+		{"negative thread count", Config{SMTThreads: -1, Benchmarks: []string{"gcc"}}},
+		{"more threads than the core has", Config{SMTThreads: 9, Benchmarks: []string{
+			"gcc", "mcf", "milc", "lbm", "hmmer", "sjeng", "astar", "povray", "namd"}}},
+		{"2 threads for 1 benchmark", Config{SMTThreads: 2, Benchmarks: []string{"gcc"}}},
+		{"8 threads for 2 benchmarks", Config{SMTThreads: 8, Benchmarks: []string{"gcc", "mcf"}}},
+	} {
+		if _, err := New(tc.cfg); err == nil {
+			t.Errorf("%s: New returned no error", tc.why)
+		}
 	}
 }
 
