@@ -48,7 +48,7 @@ var Analyzer = &analysis.Analyzer{
 var roots = map[string][]string{
 	"internal/experiment": {"runKey", "specKey", "specToWire", "specFromWire", "attackSpecFromWire"},
 	"internal/wire":       {"(Spec).Encode", "(Spec).Key", "(Result).Encode", "DecodeSpec", "DecodeResult", "SchemaVersion", "typeSig"},
-	"internal/runcache":   {"Key", "schemaID", "(Store).Key"},
+	"internal/runcache":   {"NewKeyer", "schemaID", "(Keyer).Key"},
 	"internal/chaos":      {"(FaultPlan).Encode", "DecodePlan"},
 }
 

@@ -1,15 +1,15 @@
-// Package runcache spoofs the real cache-key package: Key, schemaID
-// and (Store).Key are purity roots, and the taints they reach live in
-// the kcore dependency — visible only through published facts.
+// Package runcache spoofs the real cache-key package: NewKeyer,
+// schemaID and (Keyer).Key are purity roots, and the taints they reach
+// live in the kcore dependency — visible only through published facts.
 package runcache
 
 import "xorbp/internal/kcore"
 
-// Key folds a wall-clock stamp into the cache key; the reach is two
-// calls down in another package.
-func Key(spec string) uint32 {
-	n := kcore.Stamp() // want `Key must stay cache-key pure but reaches Stamp → clock → time\.Now \(wall-clock read\)`
-	return kcore.Fold([]string{spec}) + uint32(n)
+// NewKeyer folds a wall-clock stamp into the key prefix; the reach is
+// two calls down in another package.
+func NewKeyer(schema string) uint32 {
+	n := kcore.Stamp() // want `NewKeyer must stay cache-key pure but reaches Stamp → clock → time\.Now \(wall-clock read\)`
+	return kcore.Fold([]string{schema}) + uint32(n)
 }
 
 // schemaID is clean: Salt's clock read is allow-justified at its
@@ -19,15 +19,15 @@ func schemaID() string {
 	return "bp-cache-v1"
 }
 
-// Store keys through an interface it cannot see the implementations
+// Keyer keys through an interface it cannot see the implementations
 // of.
-type Store struct {
+type Keyer struct {
 	codec kcore.Codec
 }
 
-// Key derives the store's key prefix through dynamic dispatch.
-func (s *Store) Key(spec string) string {
-	return s.codec.Name() + "/" + spec // want `\(Store\)\.Key must stay cache-key pure but reaches a dynamic call through Codec\.Name \(implementation not statically known\)`
+// Key derives the key prefix through dynamic dispatch.
+func (k *Keyer) Key(spec string) string {
+	return k.codec.Name() + "/" + spec // want `\(Keyer\)\.Key must stay cache-key pure but reaches a dynamic call through Codec\.Name \(implementation not statically known\)`
 }
 
 var _ = schemaID

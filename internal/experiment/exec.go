@@ -92,14 +92,15 @@ const (
 type cell struct {
 	dk    string // wire key; "" until derived
 	state cellState
-	// warm marks a cell store-resident at Plan time and not yet settled:
-	// it will replay, not simulate, so the ETA excludes it from its
+	// nosim marks a cell that Plan found will not simulate and that has
+	// not settled yet: it is store-resident (it will replay) or owned by
+	// another shard (it will be skipped), so the ETA leaves it out of its
 	// backlog. The flag clears however the cell settles, so a store entry
 	// vanishing between Plan and RunBatch (concurrent GC, corruption)
 	// cannot skew the count.
-	warm bool
-	res  RunResult
-	done chan struct{} // closed when the current claim ends
+	nosim bool
+	res   RunResult
+	done  chan struct{} // closed when the current claim ends
 }
 
 // Executor runs batches of simulations with a thread-safe memo cache,
@@ -123,6 +124,10 @@ type Executor struct {
 	// dry marks a planner (NewPlanner): RunBatch records each batch's
 	// distinct specs and returns zero results without simulating.
 	dry bool
+	// hashing counts a planner's batches whose new cells still await
+	// their wire keys (planBatch). Plan and PlannedKeys wait on it
+	// before they take any lock.
+	hashing sync.WaitGroup
 
 	// shardI/shardN statically partition the grid: a sharded executor
 	// only simulates specs whose wire key hashes to its shard, skipping
@@ -147,10 +152,10 @@ type Executor struct {
 	// pre-planned session reports x/total over the whole grid rather
 	// than per batch.
 	cells map[runKey]*cell
-	// resolved, skipped and warm count the cells done, skipped and
-	// flagged warm; replays counts persistent-store replays published by
+	// resolved, skipped and nosim count the cells done, skipped and
+	// flagged nosim; replays counts persistent-store replays published by
 	// this executor.
-	resolved, skipped, warm, replays int
+	resolved, skipped, nosim, replays int
 	// simStart/simsDone drive the ETA estimate: observed simulation
 	// throughput since the first simulation began.
 	simStart time.Time
@@ -220,7 +225,11 @@ func NewExecutorWith(workers int, backend Backend) *Executor {
 // distinct spec without simulating and returns zero results. Render a
 // session's figures against a planner to enumerate the full grid
 // cheaply (the tables produced are garbage and must be discarded), then
-// declare the grid on the real executor with Plan.
+// declare the grid on the real executor with Plan. Each batch hands its
+// new specs to a goroutine that derives their wire keys while the
+// caller goes on enumerating; Plan and PlannedKeys wait for those
+// goroutines, which exit once their batch is hashed, so a planner that
+// is never planned leaves none behind.
 func NewPlanner() *Executor {
 	e := NewExecutor(1)
 	e.dry = true
@@ -257,9 +266,11 @@ type JournalSink interface {
 func (e *Executor) SetJournal(j JournalSink) { e.observer = j }
 
 // PlannedKeys returns the known wire keys of every declared or seen
-// spec, sorted: Plan records each planned spec's key, and a batch the
-// key of each spec it had to hash.
+// spec, sorted: a planner's batches hash every spec they record (waited
+// for here), Plan records each planned spec's key, and a batch the key
+// of each spec it had to hash.
 func (e *Executor) PlannedKeys() []string {
+	e.hashing.Wait()
 	e.mu.Lock()
 	keys := make([]string, 0, len(e.cells))
 	for _, c := range e.cells {
@@ -321,17 +332,21 @@ func (e *Executor) Err() error {
 }
 
 // Plan copies the distinct specs recorded by a planning executor into
-// e's cell table and returns the total now declared. Progress lines and
-// the ETA are then computed over the whole declared grid instead of
-// growing batch by batch. If a persistent store is attached, the
-// planned keys are probed against it so the ETA's backlog counts only
-// the cells that will actually simulate — on a warm cache, the ETA
-// reflects the handful of new cells, not the whole grid.
+// e's cell table and returns the total now declared. It first waits for
+// the planner's background key hashing (NewPlanner), so call it once
+// the planner's batches have returned. Progress lines and the ETA are
+// then computed over the whole declared grid instead of growing batch
+// by batch. The ETA's backlog counts only the cells that will actually
+// simulate: planned keys found in an attached persistent store will
+// replay, and under a shard assignment the other shards' keys will be
+// skipped — on a warm cache or a shard, the ETA reflects the cells this
+// process simulates, not the whole grid.
 func (e *Executor) Plan(planner *Executor) int {
+	planner.hashing.Wait()
 	type pk struct {
-		k    runKey
-		dk   string
-		warm bool
+		k     runKey
+		dk    string
+		nosim bool
 	}
 	planner.mu.Lock()
 	pks := make([]pk, 0, len(planner.cells))
@@ -341,10 +356,10 @@ func (e *Executor) Plan(planner *Executor) int {
 	planner.mu.Unlock()
 	// Probe the store outside e.mu: Contains is memory-speed, but the
 	// grid can be large and the store has its own lock.
-	if e.store != nil {
-		for i := range pks {
-			pks[i].warm = pks[i].dk != "" && e.store.Contains(pks[i].dk)
-		}
+	for i := range pks {
+		dk := pks[i].dk
+		pks[i].nosim = dk != "" && (e.shardN > 1 && shardOf(dk, e.shardN) != e.shardI ||
+			e.store != nil && e.store.Contains(dk))
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -357,11 +372,11 @@ func (e *Executor) Plan(planner *Executor) int {
 			c.dk = p.dk
 		}
 		// A cell already settled, or claimed by a running batch, is out
-		// of the backlog or about to leave it; marking it warm now would
+		// of the backlog or about to leave it; flagging it now would
 		// undercount forever.
-		if p.warm && c.state == cellOpen && !c.warm {
-			c.warm = true
-			e.warm++
+		if p.nosim && c.state == cellOpen && !c.nosim {
+			c.nosim = true
+			e.nosim++
 		}
 	}
 	return len(e.cells)
@@ -424,21 +439,15 @@ func (e *Executor) CacheSize() int {
 // Under a shard assignment, misses owned by other shards are skipped and
 // their results stay zero; after a backend failure the executor is
 // poisoned (Err) and further batches return zero results immediately.
+// A planner reads specs after RunBatch returns (NewPlanner), so callers
+// must not write the slice once it is passed.
 func (e *Executor) RunBatch(specs []runSpec) []RunResult {
 	keys := make([]runKey, len(specs))
 	for i, s := range specs {
 		keys[i] = specKey(s)
 	}
 	if e.dry {
-		// Planning: record the grid with its wire keys (the hash lets
-		// Plan probe the store and shard assignments stay computable).
-		e.mu.Lock()
-		for i, k := range keys {
-			if c := e.cellLocked(k); c.dk == "" {
-				c.dk = specToWire(specs[i]).Key()
-			}
-		}
-		e.mu.Unlock()
+		e.planBatch(keys, specs)
 		return make([]RunResult, len(specs))
 	}
 	if e.Err() != nil {
@@ -611,8 +620,48 @@ func (e *Executor) RunBatch(specs []runSpec) []RunResult {
 	return out
 }
 
+// planBatch records a planner batch: a cell for each distinct spec not
+// seen before. The new cells' wire keys (which let Plan probe the store
+// and assign shards) are derived by one goroutine per batch, outside
+// e.mu and off the caller's path, and published under e.mu when the
+// batch is hashed. The goroutine reads the caller's specs after
+// RunBatch has returned, so it keeps indices rather than copies: no
+// caller writes a slice it has passed to RunBatch.
+func (e *Executor) planBatch(keys []runKey, specs []runSpec) {
+	var (
+		fresh []*cell
+		idx   []int // fresh[j] is specs[idx[j]]'s cell
+	)
+	e.mu.Lock()
+	for i, k := range keys {
+		if _, ok := e.cells[k]; !ok {
+			c := &cell{}
+			e.cells[k] = c
+			fresh = append(fresh, c)
+			idx = append(idx, i)
+		}
+	}
+	e.mu.Unlock()
+	if len(fresh) == 0 {
+		return
+	}
+	e.hashing.Add(1)
+	go func() {
+		defer e.hashing.Done()
+		dks := make([]string, len(idx))
+		for j, i := range idx {
+			dks[j] = specToWire(specs[i]).Key()
+		}
+		e.mu.Lock()
+		for j, c := range fresh {
+			c.dk = dks[j]
+		}
+		e.mu.Unlock()
+	}()
+}
+
 // settleLocked ends a claim for good: the cell becomes done with result
-// r, or skipped, leaves the warm backlog, and its waiters unblock.
+// r, or skipped, leaves the nosim count, and its waiters unblock.
 // Called with e.mu held.
 func (e *Executor) settleLocked(c *cell, st cellState, r RunResult) {
 	c.state, c.res = st, r
@@ -621,9 +670,9 @@ func (e *Executor) settleLocked(c *cell, st cellState, r RunResult) {
 	} else {
 		e.skipped++
 	}
-	if c.warm {
-		c.warm = false
-		e.warm--
+	if c.nosim {
+		c.nosim = false
+		e.nosim--
 	}
 	close(c.done)
 }
@@ -743,12 +792,13 @@ func (e *Executor) noteSimStart(t time.Time) {
 // etaLocked estimates the time to resolve the rest of the simulatable
 // backlog from the observed simulation throughput. The backlog excludes
 // cells already resolved, cells skipped by the shard assignment, and
-// planned cells known (at Plan time) to be store-resident — a warm run
-// that only adds a few new cells gets an ETA for those cells, not a
-// bogus estimate over the whole grid. Called with e.mu held; returns ""
-// until there is both a backlog and a throughput sample.
+// planned cells known (at Plan time) to be store-resident or owned by
+// another shard — a warm run that only adds a few new cells, or one
+// shard of a grid, gets an ETA for the cells it simulates, not a bogus
+// estimate over the whole grid. Called with e.mu held; returns "" until
+// there is both a backlog and a throughput sample.
 func (e *Executor) etaLocked() string {
-	remaining := len(e.cells) - e.resolved - e.skipped - e.warm
+	remaining := len(e.cells) - e.resolved - e.skipped - e.nosim
 	if remaining <= 0 || e.simsDone == 0 || e.simStart.IsZero() {
 		return ""
 	}

@@ -79,6 +79,8 @@ func plannedGrid() *Executor {
 // with a given runKey has the wire key planned for that runKey. Each
 // planned key's spec is rebuilt from the runKey alone and must hash to
 // the planned wire key, in every option spelling that normalizes to it.
+// Plan runs straight after the planner's last batch, so it must wait
+// for the batches still hashing in the background.
 func TestPlannedKeyIsWireKey(t *testing.T) {
 	e := NewExecutor(1)
 	e.Plan(plannedGrid())
@@ -86,6 +88,9 @@ func TestPlannedKeyIsWireKey(t *testing.T) {
 	for k, c := range e.cells {
 		dk := c.dk
 		s := specOf(t, k)
+		if dk == "" {
+			t.Fatalf("%s: planned without its wire key", specLabel(s))
+		}
 		if specKey(s) != k {
 			t.Fatalf("rebuilt spec %s keys differently", specLabel(s))
 		}

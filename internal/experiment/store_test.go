@@ -3,11 +3,15 @@ package experiment
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
+	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"xorbp/internal/runcache"
 	"xorbp/internal/wire"
@@ -325,6 +329,93 @@ func TestProgressAllCacheHit(t *testing.T) {
 	}
 	if e.Runs() != 0 || e.Replays() != len(specs) {
 		t.Fatalf("runs/replays = %d/%d, want 0/%d", e.Runs(), e.Replays(), len(specs))
+	}
+}
+
+// TestProgressETAUnderShard: under a shard assignment, Plan leaves the
+// other shards' planned cells out of the ETA's backlog, as it does the
+// store-resident ones, without counting a cell that is both twice. With
+// a throughput of one simulation per 10 s, the ETA reads 10 s per cell
+// that shard 0 of 2 will simulate.
+func TestProgressETAUnderShard(t *testing.T) {
+	planner := NewPlanner()
+	NewSessionWith(microScale(), planner).Figure1()
+	keys := planner.PlannedKeys()
+	st, err := runcache.Open(t.TempDir(), SchemaVersion())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored := map[string]bool{}
+	for _, dk := range keys[:len(keys)/4] {
+		if err := st.Put(dk, wire.Result{}.Encode()); err != nil {
+			t.Fatal(err)
+		}
+		stored[dk] = true
+	}
+	var own, ownCold int
+	for _, dk := range keys {
+		if shardOf(dk, 2) == 0 {
+			own++
+			if !stored[dk] {
+				ownCold++
+			}
+		}
+	}
+	if own == 0 || own == len(keys) || ownCold == own {
+		t.Fatalf("shard 0/2 owns %d of %d planned cells, %d of them cold; want a mix", own, len(keys), ownCold)
+	}
+	for _, c := range []struct {
+		name  string
+		store *runcache.Store
+		want  int
+	}{{"no store", nil, own}, {"store", st, ownCold}} {
+		e := NewExecutor(1)
+		e.SetShard(0, 2)
+		if c.store != nil {
+			e.SetStore(c.store)
+		}
+		e.Plan(planner)
+		e.mu.Lock()
+		e.simStart, e.simsDone = time.Now().Add(-10*time.Second), 1
+		eta := e.etaLocked()
+		e.mu.Unlock()
+		if want := fmt.Sprintf(" eta %v", time.Duration(c.want)*10*time.Second); eta != want {
+			t.Errorf("%s: etaLocked = %q, want %q (%d of %d planned cells simulate on shard 0/2)",
+				c.name, eta, want, c.want, len(keys))
+		}
+	}
+}
+
+// TestPlannerPlannedKeys: PlannedKeys on a planner, called straight
+// after its last batch, waits for the background hashing and returns
+// the wire key of every distinct spec recorded, sorted.
+func TestPlannerPlannedKeys(t *testing.T) {
+	planner := plannedGrid()
+	got := planner.PlannedKeys()
+	want := make([]string, 0, len(planner.cells))
+	for k := range planner.cells {
+		want = append(want, specToWire(specOf(t, k)).Key())
+	}
+	sort.Strings(want)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("PlannedKeys returned %d keys, want the %d sorted wire keys of the planned specs",
+			len(got), len(want))
+	}
+}
+
+// TestPlannerLeavesNoGoroutines: the goroutines hashing a planner's
+// batches exit once their batch is hashed, whether or not the planner
+// is ever planned.
+func TestPlannerLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	planner := NewPlanner()
+	NewSessionWith(microScale(), planner).Figure1()
+	NewSessionWith(microScale(), planner).Figure9()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines 5 s after planning, %d before", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -15,12 +15,13 @@ import (
 func fill(t *testing.T, dir, schema string, n int) []string {
 	t.Helper()
 	var segs []string
+	keyer := NewKeyer(schema)
 	for i := 0; i < n; i++ {
 		st, err := Open(dir, schema)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := st.Put(st.Key([]byte{byte(i)}), []byte(`{"v":"0123456789abcdef"}`)); err != nil {
+		if err := st.Put(keyer.Key([]byte{byte(i)}), []byte(`{"v":"0123456789abcdef"}`)); err != nil {
 			t.Fatal(err)
 		}
 		st.exit()

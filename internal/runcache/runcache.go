@@ -33,6 +33,7 @@ package runcache
 
 import (
 	"crypto/sha256"
+	"encoding"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -59,7 +60,6 @@ type Stats struct {
 // process; safe to share a directory across processes.
 type Store struct {
 	dir    string // per-schema subdirectory actually holding segments
-	schema string
 	header []byte // the segment header line naming schema
 
 	// fault, when set, intercepts record bytes on their way to disk —
@@ -106,15 +106,39 @@ func DefaultDir() string {
 	return filepath.Join(dir, "xorbp")
 }
 
-// Key derives the store key for a payload under a schema: the hex SHA-256
-// of both. Including the schema means entries from different schema
-// versions can never collide on a name.
-func Key(schema string, payload []byte) string {
+// Keyer derives store keys under one schema: the hex SHA-256 of the
+// schema string, a NUL byte and the payload. Including the schema means
+// entries from different schema versions can never collide on a name.
+// NewKeyer hashes the schema and its NUL once and saves the digest's
+// state; Key restores that state into a fresh digest and hashes only the
+// payload, so a key costs the payload's blocks, not the schema's. A
+// Keyer is read-only after NewKeyer and safe for concurrent use.
+type Keyer struct {
+	prefix []byte // sha256 MarshalBinary state after schema‖0
+}
+
+// NewKeyer hashes schema‖0 and saves the digest's state.
+func NewKeyer(schema string) *Keyer {
 	h := sha256.New()
 	h.Write([]byte(schema))
 	h.Write([]byte{0})
+	prefix, err := h.(encoding.BinaryMarshaler).MarshalBinary()
+	if err != nil {
+		panic(fmt.Sprintf("runcache: saving the sha256 state: %v", err))
+	}
+	return &Keyer{prefix: prefix}
+}
+
+// Key derives the store key for payload: the hex SHA-256 of
+// schema‖0‖payload, byte-identical to hashing all three from scratch.
+func (k *Keyer) Key(payload []byte) string {
+	h := sha256.New()
+	if err := h.(encoding.BinaryUnmarshaler).UnmarshalBinary(k.prefix); err != nil {
+		panic(fmt.Sprintf("runcache: restoring the sha256 state: %v", err))
+	}
 	h.Write(payload)
-	return hex.EncodeToString(h.Sum(nil))
+	var sum [sha256.Size]byte
+	return hex.EncodeToString(h.Sum(sum[:0]))
 }
 
 // schemaID is the directory-name-safe digest of a schema string (the
@@ -137,7 +161,6 @@ func Open(dir, schema string) (*Store, error) {
 	}
 	s := &Store{
 		dir:     sub,
-		schema:  schema,
 		header:  segmentHeader(schema),
 		entries: make(map[string]json.RawMessage),
 	}
@@ -267,9 +290,6 @@ func (s *Store) Put(key string, value []byte) error {
 // SetFileFault installs a write-path fault hook (chaos testing only).
 // Set before the store sees concurrent traffic.
 func (s *Store) SetFileFault(f FileFault) { s.fault = f }
-
-// Key derives the store key for a payload under this store's schema.
-func (s *Store) Key(payload []byte) string { return Key(s.schema, payload) }
 
 // Len returns the number of entries currently loaded.
 func (s *Store) Len() int {

@@ -10,6 +10,9 @@ import (
 	"testing"
 )
 
+// keyA and keyB derive keys under the two schemas the tests open.
+var keyA, keyB = NewKeyer("schema-a"), NewKeyer("schema-b")
+
 // exit releases s's segment lock, as its process exiting would.
 func (s *Store) exit() {
 	if s.seg != nil {
@@ -67,7 +70,7 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := s.Key([]byte("payload-1"))
+	key := keyA.Key([]byte("payload-1"))
 	if _, ok := s.Get(key); ok {
 		t.Fatal("empty store reported a hit")
 	}
@@ -100,7 +103,7 @@ func TestPutCompactsAndRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := s.Key([]byte("k"))
+	key := keyA.Key([]byte("k"))
 	if err := s.Put(key, []byte("{\n  \"a\": [1, 2],\n  \"b\": \"x y\"\n}")); err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +129,7 @@ func TestSchemaMismatchInvalidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Put(a.Key([]byte("k")), []byte(`1`)); err != nil {
+	if err := a.Put(keyA.Key([]byte("k")), []byte(`1`)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -139,10 +142,10 @@ func TestSchemaMismatchInvalidates(t *testing.T) {
 	if b.Len() != 0 {
 		t.Fatalf("schema-b store loaded %d entries from schema-a", b.Len())
 	}
-	if _, ok := b.Get(b.Key([]byte("k"))); ok {
+	if _, ok := b.Get(keyB.Key([]byte("k"))); ok {
 		t.Fatal("schema-b key aliased a schema-a entry")
 	}
-	if a.Key([]byte("k")) == b.Key([]byte("k")) {
+	if keyA.Key([]byte("k")) == keyB.Key([]byte("k")) {
 		t.Fatal("identical payloads under different schemas share a key")
 	}
 
@@ -167,7 +170,7 @@ func TestCorruptEntryQuarantined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	good := s.Key([]byte("good"))
+	good := keyA.Key([]byte("good"))
 	if err := s.Put(good, []byte(`1`)); err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +201,7 @@ func TestCorruptEntryQuarantined(t *testing.T) {
 	// loses the good entry.
 	mustOpen(t, dir, "schema-a", 1, 0)
 	// The store stays usable after quarantining.
-	if err := s2.Put(s2.Key([]byte("more")), []byte(`2`)); err != nil {
+	if err := s2.Put(keyA.Key([]byte("more")), []byte(`2`)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -222,7 +225,7 @@ func TestConcurrentStores(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				key := s.Key([]byte(fmt.Sprintf("k%d", i)))
+				key := keyA.Key([]byte(fmt.Sprintf("k%d", i)))
 				if err := s.Put(key, []byte(fmt.Sprintf(`{"v":%d}`, i))); err != nil {
 					t.Error(err)
 					return
@@ -257,7 +260,7 @@ func TestCRCMismatchQuarantined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := s.Key([]byte("payload"))
+	key := keyA.Key([]byte("payload"))
 	if err := s.Put(key, []byte(`{"cycles":42}`)); err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +308,7 @@ func TestFileFaultWriteError(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.SetFileFault(&faultStub{failing: true})
-	key := s.Key([]byte("k"))
+	key := keyA.Key([]byte("k"))
 	if err := s.Put(key, []byte(`1`)); err == nil {
 		t.Fatal("Put under an erroring fault succeeded")
 	}
@@ -330,7 +333,7 @@ func TestFileFaultCorruptionCaught(t *testing.T) {
 	}
 	fs := &faultStub{}
 	s.SetFileFault(fs)
-	key := s.Key([]byte("k"))
+	key := keyA.Key([]byte("k"))
 	if err := s.Put(key, []byte(`{"cycles":7}`)); err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +359,7 @@ func putN(t *testing.T, dir string, n int, fault FileFault) (*Store, []string) {
 	}
 	keys := make([]string, n)
 	for i := range keys {
-		keys[i] = s.Key([]byte{byte(i)})
+		keys[i] = keyA.Key([]byte{byte(i)})
 		if err := s.Put(keys[i], []byte(fmt.Sprintf(`{"v":%d}`, i))); err != nil {
 			t.Fatal(err)
 		}
@@ -497,11 +500,12 @@ func TestLiveSegmentNeverRenamedOrCollected(t *testing.T) {
 }
 
 func TestKeyDeterministic(t *testing.T) {
-	if Key("s", []byte("p")) != Key("s", []byte("p")) {
+	s, s2, other := NewKeyer("s"), NewKeyer("s"), NewKeyer("t")
+	if s.Key([]byte("p")) != s.Key([]byte("p")) || s.Key([]byte("p")) != s2.Key([]byte("p")) {
 		t.Fatal("Key is not deterministic")
 	}
-	if Key("s", []byte("p")) == Key("s", []byte("q")) ||
-		Key("s", []byte("p")) == Key("t", []byte("p")) {
+	if s.Key([]byte("p")) == s.Key([]byte("q")) ||
+		s.Key([]byte("p")) == other.Key([]byte("p")) {
 		t.Fatal("distinct inputs collide")
 	}
 }

@@ -191,6 +191,10 @@ var schemaVersion = fmt.Sprintf("xorbp-run/epoch%d/%s->%s", schemaEpoch,
 	typeSig(reflect.TypeOf(Spec{}), nil),
 	typeSig(reflect.TypeOf(Result{}), nil))
 
+// keyer holds the SHA-256 state after schemaVersion and its NUL, from
+// which Spec.Key derives every key.
+var keyer = runcache.NewKeyer(schemaVersion)
+
 // typeSig renders a type's full structure: struct fields recurse, so a
 // change anywhere in the spec or result type tree changes the signature.
 func typeSig(t reflect.Type, seen map[reflect.Type]bool) string {
@@ -259,12 +263,14 @@ func DecodeSpec(b []byte) (Spec, error) {
 	return s, nil
 }
 
-// Key derives the spec's persistent-store key: the keyed hash of the
-// schema version and the canonical encoding. Every process that agrees
-// on the schema derives the same key for the same spec — the property
-// that lets local runs, remote workers and warm caches interoperate.
+// Key derives the spec's persistent-store key: the hex SHA-256 of the
+// schema version, a NUL byte and the canonical encoding. Every process
+// that agrees on the schema derives the same key for the same spec — the
+// property that lets local runs, remote workers and warm caches
+// interoperate. The schema prefix is hashed once per process (keyer);
+// each call hashes only the spec's bytes.
 func (s Spec) Key() string {
-	return runcache.Key(schemaVersion, s.Encode())
+	return keyer.Key(s.Encode())
 }
 
 // Encode renders the canonical byte form of the result.

@@ -149,6 +149,25 @@ func TestEncodeIgnoresInterfaceValues(t *testing.T) {
 	}
 }
 
+// TestKeyPinned: the golden specs' keys, as hex computed before keys
+// were derived from a saved schema prefix. A change here re-keys every
+// run cache; TestSpecGoldenRoundTrip and TestAttackSpecGoldenRoundTrip
+// tell an encoding change from a hashing one.
+func TestKeyPinned(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		spec Spec
+		want string
+	}{
+		{"performance", goldenSpec(), "2ce05fb02bc8f8269b9a5ef3f74da127b7d45c820ec488929375a7ca044ba5fa"},
+		{"attack", goldenAttackSpec(), "5e662d6688aab8d1e8c47d48b255b1d81723f773c67be7153c03b02196e92b02"},
+	} {
+		if got := c.spec.Key(); got != c.want {
+			t.Errorf("%s golden spec keys to %s, want %s", c.name, got, c.want)
+		}
+	}
+}
+
 // TestKeySensitivity: changing any load-bearing field changes the key.
 func TestKeySensitivity(t *testing.T) {
 	base := goldenSpec().Key()
