@@ -34,8 +34,8 @@
 // at start-up.
 //
 // -slow injects a fixed delay before every simulation — the
-// slow-worker model for strategy benchmarks and the CI smoke topology;
-// results are unaffected.
+// slow-worker model CI's fleet-smoke topology uses to skew a fleet on
+// one machine; results are unaffected.
 //
 // On SIGINT/SIGTERM the worker drains gracefully: it stops claiming,
 // finishes the specs it has started, and nacks the rest of its lease
@@ -135,7 +135,7 @@ func main() {
 	pullBatch := flag.Int("pull-batch", 0, "max specs claimed per lease (<=0: 2x workers)")
 	workerID := flag.String("id", "", "stable worker identity for lease bookkeeping (default host:pid)")
 	tlsCA := flag.String("tls-ca", "", "PEM CA bundle to pin for the leader; claims switch to HTTPS")
-	slow := flag.Duration("slow", 0, "inject a fixed delay before every simulation (slow-worker model for benchmarks; results unaffected)")
+	slow := flag.Duration("slow", 0, "inject a fixed delay before every simulation (slow-worker model for skewed test fleets; results unaffected)")
 	flag.Parse()
 
 	if *pull == "" {

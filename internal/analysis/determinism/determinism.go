@@ -43,7 +43,6 @@ var wirePathSuffixes = []string{
 	"internal/experiment",
 	"internal/driver",
 	"internal/fleet",
-	"internal/chaos",
 }
 
 func run(pass *analysis.Pass) error {

@@ -17,11 +17,7 @@
 //  3. in internal/experiment, PredictorNames() is a subset of
 //     NewDirPredictor's switch, and NewDirPredictor's case set equals
 //     validPredictor's — the wire validator may not drift from the
-//     constructor;
-//  4. in internal/chaos, every Fault implementation appears in
-//     FaultByName (rule 2's shape) and FaultNames() equals the registry
-//     case set — the FaultPlan rule vocabulary may not drift from the
-//     kinds an injector can actually fire.
+//     constructor.
 //
 // The anchors are recognized by shape (package path suffix, type and
 // function names); an anchor that exists but no longer parses as the
@@ -54,10 +50,6 @@ func run(pass *analysis.Pass) error {
 	}
 	if strings.HasSuffix(pass.Path, "internal/experiment") {
 		checkPredictorLists(pass)
-	}
-	if strings.HasSuffix(pass.Path, "internal/chaos") {
-		checkRegistry(pass, "Fault", "FaultByName")
-		checkFaultLists(pass)
 	}
 	return nil
 }
@@ -386,126 +378,6 @@ func sortedDiff(a, b map[string]bool) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// nameCaseSet resolves a ByName registry's case keys — T{}.Name()
-// calls, per rule 2 — to their string values by reading each T's Name
-// method literal. A case that is not a Name call, or a Name method
-// that does not return a plain string literal, yields nil (the caller
-// reports the anchor as unparseable).
-func nameCaseSet(pass *analysis.Pass, fd *ast.FuncDecl) map[string]bool {
-	set := make(map[string]bool)
-	parsed := true
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		sw, ok := n.(*ast.SwitchStmt)
-		if !ok {
-			return true
-		}
-		for _, stmt := range sw.Body.List {
-			cc, ok := stmt.(*ast.CaseClause)
-			if !ok || cc.List == nil {
-				continue
-			}
-			for _, e := range cc.List {
-				t := nameCallType(pass.Info, e)
-				if t == "" {
-					parsed = false // rule 2 already reported the malformed key
-					continue
-				}
-				val, ok := nameMethodLiteral(pass, t)
-				if !ok {
-					parsed = false
-					continue
-				}
-				set[val] = true
-			}
-		}
-		return false
-	})
-	if !parsed || len(set) == 0 {
-		return nil
-	}
-	return set
-}
-
-// nameMethodLiteral returns the string literal T's Name method
-// returns, when the method body is a single plain return.
-func nameMethodLiteral(pass *analysis.Pass, typeName string) (string, bool) {
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Recv == nil || fd.Name.Name != "Name" || fd.Body == nil {
-				continue
-			}
-			if recvTypeName(fd.Recv) != typeName {
-				continue
-			}
-			for _, stmt := range fd.Body.List {
-				ret, ok := stmt.(*ast.ReturnStmt)
-				if !ok || len(ret.Results) != 1 {
-					continue
-				}
-				if tv, ok := pass.Info.Types[ret.Results[0]]; ok && tv.Value != nil && tv.Value.Kind() == constant.String {
-					return constant.StringVal(tv.Value), true
-				}
-			}
-		}
-	}
-	return "", false
-}
-
-// recvTypeName extracts the bare receiver type name ("T" from (T),
-// (*T), (r T), (r *T)).
-func recvTypeName(recv *ast.FieldList) string {
-	if recv == nil || len(recv.List) != 1 {
-		return ""
-	}
-	t := recv.List[0].Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		t = star.X
-	}
-	if id, ok := t.(*ast.Ident); ok {
-		return id.Name
-	}
-	return ""
-}
-
-// --- rule 4: chaos fault lists ----------------------------------------
-
-// checkFaultLists holds the chaos vocabulary mutually complete:
-// FaultNames (the FaultPlan rule vocabulary) must equal the FaultByName
-// case set, so a documented fault name always resolves to a kind the
-// injector can fire and every registered kind is plannable.
-func checkFaultLists(pass *analysis.Pass) {
-	names := findFunc(pass, "FaultNames")
-	ctor := findFunc(pass, "FaultByName")
-	if names == nil || ctor == nil {
-		var missing []string
-		for _, m := range []struct {
-			fd   *ast.FuncDecl
-			name string
-		}{{names, "FaultNames"}, {ctor, "FaultByName"}} {
-			if m.fd == nil {
-				missing = append(missing, m.name)
-			}
-		}
-		pass.Reportf(pass.Files[0].Pos(), "chaos fault anchor functions missing: %s; the exhaustive analyzer cannot verify the fault registry", strings.Join(missing, ", "))
-		return
-	}
-
-	listed := stringLiteralSet(pass, names.Body)
-	registered := nameCaseSet(pass, ctor)
-	if listed == nil || registered == nil {
-		pass.Reportf(names.Pos(), "chaos fault anchors did not parse as a string-literal list / a T{}.Name() switch; the exhaustive analyzer cannot verify the fault registry")
-		return
-	}
-
-	for _, n := range sortedDiff(listed, registered) {
-		pass.Reportf(names.Pos(), "FaultNames lists %q but FaultByName has no case for it (a plan scheduling it would never fire)", n)
-	}
-	for _, n := range sortedDiff(registered, listed) {
-		pass.Reportf(names.Pos(), "FaultByName resolves %q but FaultNames does not list it; the FaultPlan vocabulary drifted from the registry", n)
-	}
 }
 
 // findFunc returns the package-level function declaration named name.

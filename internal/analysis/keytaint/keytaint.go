@@ -49,7 +49,6 @@ var roots = map[string][]string{
 	"internal/experiment": {"runKey", "specKey", "specToWire", "specFromWire", "attackSpecFromWire"},
 	"internal/wire":       {"(Spec).Encode", "(Spec).Key", "(Result).Encode", "DecodeSpec", "DecodeResult", "SchemaVersion", "typeSig"},
 	"internal/runcache":   {"NewKeyer", "schemaID", "(Keyer).Key"},
-	"internal/chaos":      {"(FaultPlan).Encode", "DecodePlan"},
 }
 
 // rootKeys returns the purity-root FuncKeys for the pass's package.

@@ -34,7 +34,9 @@
 //   - -shard I/N simulates only the cells whose key hashes to shard I of
 //     N, skips the rest and suppresses tables: sharded runs populate a
 //     shared -cache, and an unsharded run afterwards renders from it
-//     without simulating.
+//     without simulating. A shard that is not a -fleet leader fails if
+//     its -cache does not open; an unsharded run only warns and goes
+//     on without a cache.
 //   - -progress prints one stderr line per completed simulation, counted
 //     against the grid planned for the whole invocation, with a
 //     throughput-based ETA over the cells that still need simulating.
@@ -184,10 +186,14 @@ func Run(prog string, f *Flags, exps []Experiment, stdout, stderr io.Writer) err
 	}
 	if f.cache != "" {
 		st, err := runcache.Open(f.cache, experiment.SchemaVersion())
-		if err != nil {
-			_, _ = fmt.Fprintf(stderr, "%s: disabling run cache: %v\n", prog, err)
-		} else {
+		switch {
+		case err == nil:
 			exec.SetStore(st)
+		case shardN > 1 && f.fleet == "":
+			// The cache is this shard's only sink (parseShard).
+			return fmt.Errorf("-shard %s would discard every result: %w", f.shard, err)
+		default:
+			_, _ = fmt.Fprintf(stderr, "%s: disabling run cache: %v\n", prog, err)
 		}
 	}
 	if f.json {

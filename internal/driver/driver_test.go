@@ -7,6 +7,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"os"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -17,6 +18,7 @@ import (
 	"xorbp/internal/experiment"
 	"xorbp/internal/fleet"
 	"xorbp/internal/report"
+	"xorbp/internal/runcache"
 )
 
 // parseFlags registers the shared flags on a fresh flag set and parses
@@ -154,6 +156,16 @@ func TestSummarize(t *testing.T) {
 // exit status and one "prog: msg" line, and nothing runs.
 func TestExitCodes(t *testing.T) {
 	missing := filepath.Join(t.TempDir(), "no-such-dir", "cpu.prof")
+	// A regular file where the cache directory should be: the open
+	// fails, and a shard would have nowhere to put its results.
+	notDir := filepath.Join(t.TempDir(), "cache")
+	if err := os.WriteFile(notDir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, openErr := runcache.Open(notDir, experiment.SchemaVersion())
+	if openErr == nil {
+		t.Fatal("a run cache opened on a regular file")
+	}
 	cases := []struct {
 		args []string
 		code int
@@ -166,6 +178,7 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"-shard", "0/0"}, 2, `invalid -shard "0/0" (want I/N with 0 <= I < N)`},
 		{[]string{"-shard", "0/2", "-cache", ""}, 1, "-shard without -cache or -fleet would discard every result; " +
 			"point the shards at a shared -cache (or run them as -fleet leaders: bpserve -pull workers cache on their side)"},
+		{[]string{"-shard", "0/2", "-cache", notDir}, 1, "-shard 0/2 would discard every result: " + openErr.Error()},
 		{[]string{"-tls-cert", "c.pem"}, 2, "-tls-cert and -tls-key come as a pair"},
 		{[]string{"-tls-cert", "c.pem", "-tls-key", "k.pem"}, 2,
 			"-tls-cert/-tls-key secure the -fleet leader endpoint; they need -fleet"},
@@ -174,8 +187,8 @@ func TestExitCodes(t *testing.T) {
 	for _, tc := range cases {
 		var p probe
 		exps := testExps(testScale(), &p)
-		// Only the shard-without-sink case wants no cache; the others
-		// fail before opening one, and must not touch the default.
+		// The two cache cases set their own -cache; the others fail
+		// before opening one, and must not touch the default.
 		args := append([]string{"-cache", t.TempDir()}, tc.args...)
 		code, stdout, stderr := invoke(t, exps, args...)
 		if code != tc.code || stderr != "test: "+tc.msg+"\n" {

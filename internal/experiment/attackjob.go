@@ -13,7 +13,7 @@ import (
 // PoC against a mechanism configuration, on one core arrangement, with
 // the security grid's two extra knobs (direction predictor, re-key
 // period). Jobs resolve through the same Executor path as performance
-// runs — memo cache, persistent store, worker pool, remote backends and
+// runs — memo cache, persistent store, worker pool, pull fleets and
 // shard assignments all apply.
 type AttackJob struct {
 	// Attack is the registered attack name (attack.ByName).

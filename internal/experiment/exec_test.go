@@ -267,7 +267,7 @@ func withScale(s runSpec, sc Scale) runSpec {
 // TestExecutorShardsPartitionExactly: two executors sharded 0/2 and 1/2
 // over one store directory split the grid without overlap or gaps, and
 // an unsharded executor afterwards replays the union without
-// simulating.
+// simulating, to exactly the results of a serial run.
 func TestExecutorShardsPartitionExactly(t *testing.T) {
 	dir := t.TempDir()
 	specs := testSpecs(microScale())
@@ -296,6 +296,9 @@ func TestExecutorShardsPartitionExactly(t *testing.T) {
 		if r.Cycles == 0 {
 			t.Fatalf("merged result %d is zero — a shard dropped it", i)
 		}
+	}
+	if serial := NewExecutor(1).RunBatch(specs); !reflect.DeepEqual(res, serial) {
+		t.Fatal("merged shard results differ from a serial run")
 	}
 }
 

@@ -106,7 +106,7 @@ func NewDirPredictor(name string, ctrl *core.Controller) predictor.DirPredictor 
 
 // RunResult is one simulation's measurement window. It is an alias of
 // the canonical wire type (internal/wire.Result), so results computed
-// by any backend — in-process, remote daemon, cache replay — are the
+// by any backend — in-process, a pull worker, cache replay — are the
 // same type with the same encoding.
 type RunResult = wire.Result
 

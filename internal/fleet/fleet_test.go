@@ -11,6 +11,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -69,6 +70,13 @@ func startLeader(t *testing.T, q *Queue) string {
 	return strings.TrimPrefix(ts.URL, "http://")
 }
 
+// serialFigure1 renders Figure 1 at simScale() on one local worker,
+// once per test binary: the reference every fleet render of the figure
+// must match byte for byte.
+var serialFigure1 = sync.OnceValue(func() string {
+	return experiment.NewSessionWith(simScale(), experiment.NewExecutor(1)).Figure1().Render()
+})
+
 // serialResult runs one spec on the local backend, bypassing the fleet
 // entirely — the reference every fleet execution must match byte for
 // byte.
@@ -84,52 +92,68 @@ func serialResult(t *testing.T, spec wire.Spec) wire.Result {
 // TestPullMatchesSerial is the fleet's core guarantee: a figure
 // rendered through a pull-queue leader with two claiming workers is
 // byte-identical to the serial render, because dispatch order, worker
-// identity, and batch boundaries never touch the results.
+// identity, and batch boundaries never touch the results. The
+// throttled case slows one worker behind fleet.Throttle (bpserve
+// -slow), so the fast worker claims most of the grid.
 func TestPullMatchesSerial(t *testing.T) {
-	scale := simScale()
-	serial := experiment.NewSessionWith(scale, experiment.NewExecutor(1)).Figure1().Render()
+	scale, serial := simScale(), serialFigure1()
 
-	q := NewQueue(0, time.Now)
-	leader := NewLeader(q, "")
-	ts := httptest.NewServer(leader.Handler())
-	t.Cleanup(ts.Close)
-	addr := strings.TrimPrefix(ts.URL, "http://")
+	for _, tc := range []struct {
+		name string
+		slow time.Duration // the second worker's delay before each simulation
+	}{
+		{"uniform", 0},
+		{"throttled", 50 * time.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			q := NewQueue(0, time.Now)
+			leader := NewLeader(q, "")
+			ts := httptest.NewServer(leader.Handler())
+			t.Cleanup(ts.Close)
+			addr := strings.TrimPrefix(ts.URL, "http://")
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var wg sync.WaitGroup
-	workers := make([]*PullWorker, 2)
-	for i := range workers {
-		w := NewPullWorker(addr, fmt.Sprintf("w%d", i), experiment.LocalBackend{}, nil, 0, 2)
-		workers[i] = w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := w.Run(ctx); err != nil {
-				t.Errorf("worker: %v", err)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var wg sync.WaitGroup
+			workers := make([]*PullWorker, 2)
+			for i := range workers {
+				var backend experiment.Backend = experiment.LocalBackend{}
+				if i == 1 && tc.slow > 0 {
+					backend = Throttle{Inner: backend, Delay: tc.slow}
+				}
+				w := NewPullWorker(addr, fmt.Sprintf("w%d", i), backend, nil, 0, 2)
+				workers[i] = w
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if err := w.Run(ctx); err != nil {
+						t.Errorf("worker: %v", err)
+					}
+				}()
 			}
-		}()
-	}
 
-	exec := experiment.NewExecutorWith(4, leader.Backend())
-	pull := experiment.NewSessionWith(scale, exec).Figure1().Render()
-	cancel()
-	wg.Wait()
+			exec := experiment.NewExecutorWith(4, leader.Backend())
+			pull := experiment.NewSessionWith(scale, exec).Figure1().Render()
+			cancel()
+			wg.Wait()
 
-	if serial != pull {
-		t.Fatalf("pull Figure 1 differs from serial:\n--- serial ---\n%s\n--- pull ---\n%s",
-			serial, pull)
-	}
-	if err := exec.Err(); err != nil {
-		t.Fatalf("pull executor poisoned: %v", err)
-	}
-	st := q.Stats()
-	if st.Done == 0 || st.Done != st.Submitted {
-		t.Fatalf("queue did not drain: %+v", st)
-	}
-	if int(workers[0].Runs()+workers[1].Runs()) != st.Done {
-		t.Fatalf("workers simulated %d+%d specs, queue completed %d",
-			workers[0].Runs(), workers[1].Runs(), st.Done)
+			if serial != pull {
+				t.Fatalf("pull Figure 1 differs from serial:\n--- serial ---\n%s\n--- pull ---\n%s",
+					serial, pull)
+			}
+			if err := exec.Err(); err != nil {
+				t.Fatalf("pull executor poisoned: %v", err)
+			}
+			st := q.Stats()
+			if st.Done == 0 || st.Done != st.Submitted {
+				t.Fatalf("queue did not drain: %+v", st)
+			}
+			if int(workers[0].Runs()+workers[1].Runs()) != st.Done {
+				t.Fatalf("workers simulated %d+%d specs, queue completed %d",
+					workers[0].Runs(), workers[1].Runs(), st.Done)
+			}
+			t.Logf("workers simulated %d and %d specs", workers[0].Runs(), workers[1].Runs())
+		})
 	}
 }
 
@@ -309,16 +333,36 @@ func TestPullDrainNacks(t *testing.T) {
 	}
 }
 
-// workerFaultStub drives PullWorker's fault hooks from plain counters —
-// the unit-test stand-in for chaos.FleetFaults.
-type workerFaultStub struct {
-	crashLeft atomic.Int64 // CrashBatch fires while positive
-	dup       bool         // DuplicateComplete fires on every completion
+// schedule fires a fault at fixed 1-based decision points: each one
+// listed in at, and every every-th one. It counts the points it has
+// seen and the faults it fired, and is safe for concurrent use.
+type schedule struct {
+	at    []uint64
+	every uint64
+
+	calls, fired atomic.Uint64
 }
 
-func (f *workerFaultStub) CrashBatch() bool        { return f.crashLeft.Add(-1) >= 0 }
-func (f *workerFaultStub) DropHeartbeat() bool     { return false }
-func (f *workerFaultStub) DuplicateComplete() bool { return f.dup }
+// hit consumes one decision point and reports whether the fault fires
+// there.
+func (s *schedule) hit() bool {
+	n := s.calls.Add(1)
+	if !slices.Contains(s.at, n) && (s.every == 0 || n%s.every != 0) {
+		return false
+	}
+	s.fired.Add(1)
+	return true
+}
+
+// workerFaultStub drives PullWorker's fault hooks, one schedule per
+// hook; a zero schedule never fires.
+type workerFaultStub struct {
+	crash, drop, dup schedule
+}
+
+func (f *workerFaultStub) CrashBatch() bool        { return f.crash.hit() }
+func (f *workerFaultStub) DropHeartbeat() bool     { return f.drop.hit() }
+func (f *workerFaultStub) DuplicateComplete() bool { return f.dup.hit() }
 
 // TestPullWorkerCrashFaultAbandonsBatch: an injected mid-batch crash
 // abandons the whole claimed batch — nothing completed, nothing nacked —
@@ -337,8 +381,7 @@ func TestPullWorkerCrashFaultAbandonsBatch(t *testing.T) {
 	}
 	waitPending(t, q, n)
 
-	faults := &workerFaultStub{}
-	faults.crashLeft.Store(1)
+	faults := &workerFaultStub{crash: schedule{at: []uint64{1}}}
 	w := NewPullWorker(addr, "crashy", experiment.LocalBackend{}, nil, n, 1)
 	w.SetFaults(faults)
 	w.SetSleep(func(ctx context.Context, _ time.Duration) error { return ctx.Err() })
@@ -403,7 +446,7 @@ func TestPullWorkerDuplicateCompletesDropped(t *testing.T) {
 	waitPending(t, q, n)
 
 	w := NewPullWorker(addr, "stutter", experiment.LocalBackend{}, nil, n, 1)
-	w.SetFaults(&workerFaultStub{dup: true})
+	w.SetFaults(&workerFaultStub{dup: schedule{every: 1}})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := make(chan error, 1)

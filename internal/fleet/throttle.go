@@ -9,9 +9,9 @@ import (
 )
 
 // Throttle wraps an execution backend with a fixed pre-simulation
-// delay — the slow-worker model the strategy benchmarks and the CI
-// smoke topology use to build a skewed fleet on one machine (bpserve
-// -slow). Results are untouched: a throttled worker is late, never
+// delay — the slow-worker model that bpserve -slow, CI's fleet-smoke
+// topology and TestPullMatchesSerial use to build a skewed fleet on one
+// machine. Results are untouched: a throttled worker is late, never
 // wrong.
 type Throttle struct {
 	Inner experiment.Backend

@@ -20,9 +20,9 @@ import (
 	"xorbp/internal/wire"
 )
 
-// WorkerFaults is the chaos layer's worker-lifecycle hook (implemented
-// by chaos.FleetFaults; nil in production). Each method is one
-// injection decision point.
+// WorkerFaults is the fault tests' worker-lifecycle hook (nil in
+// production; TestPullSweepSurvivesFaults drives it on a fixed
+// schedule). Each method is one injection decision point.
 type WorkerFaults interface {
 	// CrashBatch, answered true, kills the worker mid-batch: remaining
 	// specs are neither completed nor nacked and the heartbeat stops,
@@ -68,8 +68,8 @@ type PullWorker struct {
 	// touches it.
 	jitter *rng.SplitMix64
 
-	// faults, when set, injects worker-lifecycle failures (chaos
-	// testing only).
+	// faults, when set, injects worker-lifecycle failures (fault tests
+	// only).
 	faults WorkerFaults
 
 	// draining stops the claim loop: started specs finish, unstarted
@@ -80,7 +80,7 @@ type PullWorker struct {
 	runs    atomic.Uint64 // specs simulated
 	replays atomic.Uint64 // specs answered from the store
 	nacked  atomic.Uint64 // specs handed back while draining
-	crashes atomic.Uint64 // injected mid-batch crashes (chaos)
+	crashes atomic.Uint64 // injected mid-batch crashes (fault tests)
 }
 
 // NewPullWorker creates a worker that polls leader (host:port) under
@@ -147,8 +147,8 @@ func (w *PullWorker) SetTLS(ca *x509.CertPool) {
 	w.hc.Transport = &http.Transport{TLSClientConfig: &tls.Config{RootCAs: ca}}
 }
 
-// SetFaults arms the chaos layer's worker-lifecycle faults (tests and
-// chaosbench only; nil in production).
+// SetFaults arms worker-lifecycle faults (fault tests only; nil in
+// production).
 func (w *PullWorker) SetFaults(f WorkerFaults) { w.faults = f }
 
 // Drain stops the claim loop: the worker finishes the specs it has
@@ -170,7 +170,7 @@ func (w *PullWorker) Nacked() uint64 { return w.nacked.Load() }
 func (w *PullWorker) Claims() uint64 { return w.claims.Load() }
 
 // Crashes returns how many injected mid-batch crashes this worker has
-// suffered (always 0 outside chaos runs).
+// suffered (always 0 outside fault tests).
 func (w *PullWorker) Crashes() uint64 { return w.crashes.Load() }
 
 // Run claims from the leader until ctx cancels or Drain is called. The
@@ -242,7 +242,7 @@ func (w *PullWorker) processBatch(ctx context.Context, claim ClaimResponse) {
 		leaseDur = DefaultLease
 	}
 
-	// crashed simulates a worker dying mid-batch (chaos only): the
+	// crashed simulates a worker dying mid-batch (fault tests only): the
 	// intake stops taking specs, nothing is completed or nacked, and
 	// the heartbeat goes silent so the lease lapses and the fleet
 	// steals the remainder.
@@ -332,7 +332,7 @@ func (w *PullWorker) runOne(ctx context.Context, leaseID uint64, spec wire.Spec)
 	report := func(res wire.Result, cached bool) {
 		_ = w.complete(ctx, leaseID, key, res, cached)
 		if w.faults != nil && w.faults.DuplicateComplete() {
-			// Chaos: report the same completion twice — the queue must
+			// A fault: report the same completion twice — the queue must
 			// absorb the echo as a duplicate, not double-count or error.
 			_ = w.complete(ctx, leaseID, key, res, cached)
 		}

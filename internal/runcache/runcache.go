@@ -63,7 +63,7 @@ type Store struct {
 	header []byte // the segment header line naming schema
 
 	// fault, when set, intercepts record bytes on their way to disk —
-	// the chaos layer's corruption/ENOSPC seam. Never touches the
+	// the fault tests' corruption/ENOSPC seam. Never touches the
 	// in-memory copy. Set once before concurrent use (SetFileFault).
 	fault FileFault
 
@@ -83,7 +83,8 @@ type Store struct {
 // appended to the segment. It may return altered bytes (simulated
 // corruption: the checksum must catch it at the next Open) or an error
 // (simulated full disk: counted as a PutError, entry kept in memory).
-// chaos.CacheFaults implements it; production stores never set one.
+// Only tests set one (internal/fleet's TestPullSweepSurvivesFaults
+// damages a leader's store through it); production stores never do.
 type FileFault interface {
 	WriteEntry(key string, raw []byte) ([]byte, error)
 }
@@ -287,7 +288,7 @@ func (s *Store) Put(key string, value []byte) error {
 	return nil
 }
 
-// SetFileFault installs a write-path fault hook (chaos testing only).
+// SetFileFault installs a write-path fault hook (fault tests only).
 // Set before the store sees concurrent traffic.
 func (s *Store) SetFileFault(f FileFault) { s.fault = f }
 

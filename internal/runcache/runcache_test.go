@@ -323,8 +323,9 @@ func TestFileFaultWriteError(t *testing.T) {
 
 // TestFileFaultCorruptionCaught: bytes perturbed by the fault hook land
 // on disk (the write itself succeeds) and the next Open counts the
-// record as damaged — the end-to-end contract chaosbench's cache
-// scenario rides, with its writer still live in the same process.
+// record as damaged — the contract internal/fleet's fault test rides
+// when it reopens a leader's store, with its writer still live in the
+// same process.
 func TestFileFaultCorruptionCaught(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, "schema-a")
@@ -407,8 +408,8 @@ func TestTornTailLoadsCompleteRecords(t *testing.T) {
 }
 
 // TestDamagedMiddleRecordLosesOnlyItself: whatever the damage to one
-// record in the middle of a segment — a flipped value bit, a chaos-style
-// truncation directly followed by the next record, a bit flip that
+// record in the middle of a segment — a flipped value bit, a fault
+// test's truncation directly followed by the next record, a bit flip that
 // becomes a newline, a flipped leading or trailing newline — only that
 // record is lost, and it counts once.
 func TestDamagedMiddleRecordLosesOnlyItself(t *testing.T) {

@@ -9,8 +9,8 @@
 // Because every cell is an engine job (experiment.AttackJob), the grid
 // inherits the whole execution stack for free: the in-memory memo
 // cache, the persistent run cache (warm re-runs simulate nothing), the
-// bounded worker pool, remote bpserve fleets and static shard
-// partitioning. Wide cells are split into independent seed batches so
+// bounded worker pool, pull fleets of bpserve -pull workers and static
+// shard partitioning. Wide cells are split into independent seed batches so
 // they parallelize and distribute like narrow ones; batch outcomes are
 // integer counts, so merging them is exact and the rendered tables are
 // byte-identical for every worker count and backend.
