@@ -156,10 +156,10 @@ type Executor struct {
 	// flagged nosim; replays counts persistent-store replays published by
 	// this executor.
 	resolved, skipped, nosim, replays int
-	// simStart/simsDone drive the ETA estimate: observed simulation
-	// throughput since the first simulation began.
-	simStart time.Time
+	// simsDone and simTime drive the ETA estimate: the simulations
+	// completed and the sum of their durations.
 	simsDone int
+	simTime  time.Duration
 
 	runs atomic.Uint64 // simulations executed (cache misses)
 }
@@ -225,11 +225,12 @@ func NewExecutorWith(workers int, backend Backend) *Executor {
 // distinct spec without simulating and returns zero results. Render a
 // session's figures against a planner to enumerate the full grid
 // cheaply (the tables produced are garbage and must be discarded), then
-// declare the grid on the real executor with Plan. Each batch hands its
-// new specs to a goroutine that derives their wire keys while the
-// caller goes on enumerating; Plan and PlannedKeys wait for those
-// goroutines, which exit once their batch is hashed, so a planner that
-// is never planned leaves none behind.
+// declare the grid on the real executor with Plan, which takes the
+// planner's cells and leaves it empty: a planner is planned once. Each
+// batch hands its new specs to a goroutine that derives their wire keys
+// while the caller goes on enumerating; Plan and PlannedKeys wait for
+// those goroutines, which exit once their batch is hashed, so a planner
+// that is never planned leaves none behind.
 func NewPlanner() *Executor {
 	e := NewExecutor(1)
 	e.dry = true
@@ -267,8 +268,8 @@ func (e *Executor) SetJournal(j JournalSink) { e.observer = j }
 
 // PlannedKeys returns the known wire keys of every declared or seen
 // spec, sorted: a planner's batches hash every spec they record (waited
-// for here), Plan records each planned spec's key, and a batch the key
-// of each spec it had to hash.
+// for here), Plan hands the planner's keyed cells over, and a batch
+// records the key of each spec it had to hash.
 func (e *Executor) PlannedKeys() []string {
 	e.hashing.Wait()
 	e.mu.Lock()
@@ -331,55 +332,46 @@ func (e *Executor) Err() error {
 	return e.err
 }
 
-// Plan copies the distinct specs recorded by a planning executor into
-// e's cell table and returns the total now declared. It first waits for
-// the planner's background key hashing (NewPlanner), so call it once
-// the planner's batches have returned. Progress lines and the ETA are
-// then computed over the whole declared grid instead of growing batch
-// by batch. The ETA's backlog counts only the cells that will actually
-// simulate: planned keys found in an attached persistent store will
-// replay, and under a shard assignment the other shards' keys will be
-// skipped — on a warm cache or a shard, the ETA reflects the cells this
-// process simulates, not the whole grid.
+// Plan declares the grid a planning executor recorded (NewPlanner) on
+// e and returns the number of cells declared. It first waits for the
+// planner's background key hashing, so call it once the planner's
+// batches have returned. Plan takes the planner's cell table rather
+// than copying it, so e must hold no cell yet — it has run no batch and
+// has not been planned — and the planner is left empty: a planner is
+// planned once. Planning into an executor that already holds cells is a
+// programmer error and panics.
+//
+// Progress lines and the ETA are then computed over the whole declared
+// grid instead of growing batch by batch. The ETA's backlog counts only
+// the cells that will actually simulate: planned keys found in an
+// attached persistent store will replay, and under a shard assignment
+// the other shards' keys will be skipped — on a warm cache or a shard,
+// the ETA reflects the cells this process simulates, not the whole
+// grid.
 func (e *Executor) Plan(planner *Executor) int {
 	planner.hashing.Wait()
-	type pk struct {
-		k     runKey
-		dk    string
-		nosim bool
-	}
 	planner.mu.Lock()
-	pks := make([]pk, 0, len(planner.cells))
-	for k, c := range planner.cells {
-		pks = append(pks, pk{k: k, dk: c.dk})
-	}
+	cells := planner.cells
+	planner.cells = make(map[runKey]*cell)
 	planner.mu.Unlock()
-	// Probe the store outside e.mu: Contains is memory-speed, but the
-	// grid can be large and the store has its own lock.
-	for i := range pks {
-		dk := pks[i].dk
-		pks[i].nosim = dk != "" && (e.shardN > 1 && shardOf(dk, e.shardN) != e.shardI ||
-			e.store != nil && e.store.Contains(dk))
+	// Probe the store before taking e.mu: Contains is memory-speed, but
+	// the grid can be large and the store has its own lock. The cells
+	// are this call's alone until they are published below.
+	nosim := 0
+	for _, c := range cells {
+		if c.dk != "" && (e.shardN > 1 && shardOf(c.dk, e.shardN) != e.shardI ||
+			e.store != nil && e.store.Contains(c.dk)) {
+			c.nosim = true
+			nosim++
+		}
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if len(e.cells) == 0 {
-		e.cells = make(map[runKey]*cell, len(pks))
+	if len(e.cells) != 0 {
+		panic(fmt.Sprintf("experiment: Plan into an executor that already holds %d cells", len(e.cells)))
 	}
-	for _, p := range pks {
-		c := e.cellLocked(p.k)
-		if c.dk == "" {
-			c.dk = p.dk
-		}
-		// A cell already settled, or claimed by a running batch, is out
-		// of the backlog or about to leave it; flagging it now would
-		// undercount forever.
-		if p.nosim && c.state == cellOpen && !c.nosim {
-			c.nosim = true
-			e.nosim++
-		}
-	}
-	return len(e.cells)
+	e.cells, e.nosim = cells, nosim
+	return len(cells)
 }
 
 // cellLocked returns k's cell, creating an open one on first sight.
@@ -580,7 +572,6 @@ func (e *Executor) RunBatch(specs []runSpec) []RunResult {
 			}
 			e.sem <- struct{}{} // a slot is held only while simulating
 			start := time.Now() //bpvet:allow progress/ETA telemetry; durations never reach results or keys
-			e.noteSimStart(start)
 			var (
 				r   RunResult
 				err error
@@ -693,6 +684,7 @@ func (e *Executor) publish(s *runSpec, c *cell, dk string, r RunResult, start ti
 	e.mu.Lock()
 	e.settleLocked(c, cellDone, r)
 	e.simsDone++
+	e.simTime += dur
 	done, planned := e.resolved+e.skipped, len(e.cells)
 	eta := e.etaLocked()
 	e.mu.Unlock()
@@ -779,35 +771,28 @@ func (e *Executor) emit(s *runSpec, dk string, r RunResult, durMS float64, cache
 	e.rmu.Unlock()
 }
 
-// noteSimStart records the first simulation's start time, the basis of
-// the ETA's throughput estimate.
-func (e *Executor) noteSimStart(t time.Time) {
-	e.mu.Lock()
-	if e.simStart.IsZero() {
-		e.simStart = t
-	}
-	e.mu.Unlock()
-}
-
 // etaLocked estimates the time to resolve the rest of the simulatable
-// backlog from the observed simulation throughput. The backlog excludes
-// cells already resolved, cells skipped by the shard assignment, and
-// planned cells known (at Plan time) to be store-resident or owned by
-// another shard — a warm run that only adds a few new cells, or one
-// shard of a grid, gets an ETA for the cells it simulates, not a bogus
-// estimate over the whole grid. Called with e.mu held; returns "" until
-// there is both a backlog and a throughput sample.
+// backlog. The backlog excludes cells already resolved, cells skipped by
+// the shard assignment, and planned cells known (at Plan time) to be
+// store-resident or owned by another shard — a warm run that only adds
+// a few new cells, or one shard of a grid, gets an ETA for the cells it
+// simulates, not a bogus estimate over the whole grid.
+//
+// The rate is the pool's: with its slots busy, Little's law puts the
+// throughput at slots per mean simulation duration, so the estimate is
+// mean duration × backlog ÷ slots, with no more slots than cells left.
+// A duration is measured from dispatch to result, so over a pull fleet
+// it includes the queue wait and the executor's width is the number of
+// specs in flight. Called with e.mu held; returns "" until there is
+// both a backlog and a completed simulation.
 func (e *Executor) etaLocked() string {
 	remaining := len(e.cells) - e.resolved - e.skipped - e.nosim
-	if remaining <= 0 || e.simsDone == 0 || e.simStart.IsZero() {
+	if remaining <= 0 || e.simsDone == 0 {
 		return ""
 	}
-	elapsed := time.Since(e.simStart) //bpvet:allow ETA estimation for the progress line only
-	if elapsed <= 0 {
-		return ""
-	}
-	perRun := elapsed / time.Duration(e.simsDone)
-	return fmt.Sprintf(" eta %v", (perRun * time.Duration(remaining)).Round(time.Second))
+	slots := min(e.workers, remaining)
+	eta := e.simTime / time.Duration(e.simsDone) * time.Duration(remaining) / time.Duration(slots)
+	return fmt.Sprintf(" eta %v", eta.Round(time.Second))
 }
 
 // specLabel is the human-readable one-line description used by progress

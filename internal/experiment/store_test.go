@@ -260,6 +260,89 @@ func TestPlannerDeclaresGrid(t *testing.T) {
 	}
 }
 
+// TestPlanTakesPlannerCells: Plan moves the planner's cell table into
+// the executor — the executor holds the planner's own cells, wire keys
+// and all, and the planner is left empty — and panics on an executor
+// that already holds cells, whether it has run a batch or been planned.
+func TestPlanTakesPlannerCells(t *testing.T) {
+	specs := testSpecs(microScale())
+	planner := NewPlanner()
+	planner.RunBatch(specs)
+	planned := planner.PlannedKeys() // waits for the background hashing
+	before := make(map[runKey]*cell, len(specs))
+	for k, c := range planner.cells {
+		before[k] = c
+	}
+	e := NewExecutor(1)
+	if got := e.Plan(planner); got != len(specs) {
+		t.Fatalf("Plan declared %d cells, want %d", got, len(specs))
+	}
+	if len(e.cells) != len(before) {
+		t.Fatalf("executor holds %d cells, the planner recorded %d", len(e.cells), len(before))
+	}
+	for k, c := range before {
+		if e.cells[k] != c {
+			t.Fatalf("%s: the executor holds a different cell from the planner's", specLabel(specOf(t, k)))
+		}
+	}
+	if !reflect.DeepEqual(e.PlannedKeys(), planned) {
+		t.Fatal("the executor's wire keys differ from the planner's")
+	}
+	if planner.Planned() != 0 || len(planner.PlannedKeys()) != 0 {
+		t.Fatalf("the planner still holds %d cells after Plan", planner.Planned())
+	}
+
+	mustPanic := func(name string, plan func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: Plan did not panic", name)
+			}
+		}()
+		plan()
+	}
+	mustPanic("planned twice", func() {
+		p := NewPlanner()
+		p.RunBatch(specs)
+		e.Plan(p)
+	})
+	ran := NewExecutor(1)
+	ran.RunBatch(specs[:1])
+	mustPanic("after a batch", func() {
+		p := NewPlanner()
+		p.RunBatch(specs)
+		ran.Plan(p)
+	})
+}
+
+// TestProgressETACountsWorkers: the ETA spreads the backlog over the
+// pool. With two workers, the first simulation done after 10 s and five
+// cells left, the pool needs about 25 s, where one simulation's latency
+// per cell would read 50 s.
+func TestProgressETACountsWorkers(t *testing.T) {
+	specs := testSpecs(microScale())
+	for _, s := range specs {
+		s.timer++
+		specs = append(specs, s)
+	}
+	planner := NewPlanner()
+	planner.RunBatch(specs)
+	e := NewExecutor(2)
+	var buf strings.Builder
+	e.SetProgress(&buf)
+	if got := e.Plan(planner); got != 6 {
+		t.Fatalf("planned %d cells, want 6", got)
+	}
+	e.mu.Lock()
+	c := e.cells[specKey(specs[0])]
+	c.state, c.done = cellClaimed, make(chan struct{})
+	e.mu.Unlock()
+	e.publish(&specs[0], c, c.dk, RunResult{}, time.Now().Add(-10*time.Second))
+	if out := buf.String(); !strings.Contains(out, "[run 1/6]") || !strings.HasSuffix(out, " eta 25s\n") {
+		t.Fatalf("first progress line %q; want run 1/6 with eta 25s", out)
+	}
+}
+
 // TestProgressCountsOverPlannedGrid: with a pre-declared plan, progress
 // lines report done/total over the whole grid, not the current batch.
 func TestProgressCountsOverPlannedGrid(t *testing.T) {
@@ -338,9 +421,12 @@ func TestProgressAllCacheHit(t *testing.T) {
 // a throughput of one simulation per 10 s, the ETA reads 10 s per cell
 // that shard 0 of 2 will simulate.
 func TestProgressETAUnderShard(t *testing.T) {
-	planner := NewPlanner()
-	NewSessionWith(microScale(), planner).Figure1()
-	keys := planner.PlannedKeys()
+	fig1 := func() *Executor {
+		planner := NewPlanner()
+		NewSessionWith(microScale(), planner).Figure1()
+		return planner
+	}
+	keys := fig1().PlannedKeys()
 	st, err := runcache.Open(t.TempDir(), SchemaVersion())
 	if err != nil {
 		t.Fatal(err)
@@ -374,9 +460,9 @@ func TestProgressETAUnderShard(t *testing.T) {
 		if c.store != nil {
 			e.SetStore(c.store)
 		}
-		e.Plan(planner)
+		e.Plan(fig1()) // a planner is planned once
 		e.mu.Lock()
-		e.simStart, e.simsDone = time.Now().Add(-10*time.Second), 1
+		e.simsDone, e.simTime = 1, 10*time.Second
 		eta := e.etaLocked()
 		e.mu.Unlock()
 		if want := fmt.Sprintf(" eta %v", time.Duration(c.want)*10*time.Second); eta != want {

@@ -21,12 +21,16 @@ import (
 // fixed schedule, and requires the serial render every time: a fault
 // may cost retries, steals and re-simulations, never bytes.
 //
-//   - faults: the workers share one workerFaultStub that crashes a
+//   - faults: two workers share one workerFaultStub that crashes a
 //     worker at the 3rd CrashBatch decision, reports the 5th and 6th
-//     completions twice and drops every 5th heartbeat. The leader's
-//     store flips a bit in its 4th record write, truncates the 8th and
-//     fails the 12th as a full disk would. A reopen must quarantine the
-//     two damaged records, and a warm render over it must re-simulate
+//     completions twice and drops every 5th heartbeat. A third waits
+//     two leases before each simulation (Throttle), so its batches
+//     outlive the lease, and its own stub drops every 5th of its
+//     heartbeats. A drop must cost one beat, never the lease: the
+//     crashed batch is the only one that may lapse. The leader's store
+//     flips a bit in its 4th record write, truncates the 8th and fails
+//     the 12th as a full disk would. A reopen must quarantine the two
+//     damaged records, and a warm render over it must re-simulate
 //     exactly the three lost cells.
 //   - restart: the leader dies at its 6th dispatch. A second leader on
 //     the same cache directory must replay exactly the cells the first
@@ -48,7 +52,11 @@ func TestPullSweepSurvivesFaults(t *testing.T) {
 			drop:  schedule{every: 5},
 			dup:   schedule{at: []uint64{5, 6}},
 		}
-		q, leader, workers, stop := faultFleet(t, faults)
+		beats := &workerFaultStub{drop: schedule{every: 5}}
+		starts := &startLog{by: make(map[string][]int)}
+		q, leader, workers, stop := faultFleet(t, starts,
+			faultWorker{faults: beats, slow: 2 * faultLease},
+			faultWorker{faults: faults}, faultWorker{faults: faults})
 		defer stop()
 		dir := t.TempDir()
 		st := openCache(t, dir)
@@ -82,8 +90,31 @@ func TestPullSweepSurvivesFaults(t *testing.T) {
 		if fired, dups := faults.dup.fired.Load(), q.Stats().Duplicates; fired != 2 || dups < 2 {
 			t.Fatalf("duplicate fired %d times and the queue counted %d duplicates; want 2 and at least 2", fired, dups)
 		}
-		// Heartbeats follow the wall clock, so how many were due varies.
-		t.Logf("dropped %d of %d heartbeats", faults.drop.fired.Load(), faults.drop.calls.Load())
+		// Heartbeats follow the wall clock, so how many were due varies;
+		// each batch of the throttled worker makes dozens.
+		t.Logf("dropped %d of %d heartbeats (throttled worker), %d of %d (the others)",
+			beats.drop.fired.Load(), beats.drop.calls.Load(), faults.drop.fired.Load(), faults.drop.calls.Load())
+		if beats.drop.fired.Load() == 0 {
+			t.Fatalf("the throttled worker dropped none of its %d heartbeats", beats.drop.calls.Load())
+		}
+		// A lapsed lease hands its specs to a second worker while the
+		// first still runs them. Only the crashed batch may lapse, so a
+		// spec started twice must have started first on the crashed
+		// worker: its specs in flight at the crash run on, and under the
+		// race detector can outlive the lease.
+		crashed := -1
+		for i, w := range workers {
+			if w.Crashes() > 0 {
+				crashed = i
+			}
+		}
+		starts.mu.Lock()
+		for key, ws := range starts.by {
+			if len(ws) > 1 && ws[0] != crashed {
+				t.Errorf("spec %.12s started on worker %d, then on %v: a lease other than the crashed one lapsed", key, ws[0], ws[1:])
+			}
+		}
+		starts.mu.Unlock()
 
 		if got := st.Stats().PutErrors; got != 1 {
 			t.Fatalf("%d put errors, want 1 (the full disk)", got)
@@ -113,7 +144,7 @@ func TestPullSweepSurvivesFaults(t *testing.T) {
 		// dispatch (0: never). A pool narrower than the grid leaves most
 		// of the sweep behind the kill point.
 		pass := func(dieAt uint64) (*experiment.Executor, string) {
-			_, leader, _, stop := faultFleet(t, nil)
+			_, leader, _, stop := faultFleet(t, nil, faultWorker{}, faultWorker{}, faultWorker{})
 			defer stop()
 			var backend experiment.Backend = leader.Backend()
 			if dieAt > 0 {
@@ -146,25 +177,48 @@ func TestPullSweepSurvivesFaults(t *testing.T) {
 // fleetSlots is each fault-test worker's slot count and batch size.
 const fleetSlots = 4
 
-// faultFleet serves a fresh leader, whose queue leases for 500 ms, to
-// three pull workers of fleetSlots slots each, armed with faults when
-// it is not nil. stop ends the workers; the server closes when the
+// faultLease is the fault test queue's lease.
+const faultLease = 500 * time.Millisecond
+
+// faultWorker arms one fault-test worker: with faults when they are
+// not nil, and behind a Throttle of slow when it is positive.
+type faultWorker struct {
+	faults WorkerFaults
+	slow   time.Duration
+}
+
+// faultFleet serves a fresh leader, whose queue leases for faultLease,
+// to one pull worker of fleetSlots slots per arm. The workers sleep a
+// tenth of each requested pause, so they beat every lease/30 instead
+// of lease/3: under the race detector on a 2-CPU host, the beats
+// around a dropped one landed a third of the lease late often enough
+// that one drop lapsed a lease in 4 of 10 runs at lease/3, a delay
+// DefaultLease absorbs. Each simulation start is logged in starts
+// when it is not nil. stop ends the workers; the server closes when the
 // test ends.
-func faultFleet(t *testing.T, faults WorkerFaults) (q *Queue, leader *Leader, workers []*PullWorker, stop func()) {
+func faultFleet(t *testing.T, starts *startLog, arms ...faultWorker) (q *Queue, leader *Leader, workers []*PullWorker, stop func()) {
 	t.Helper()
-	q = NewQueue(500*time.Millisecond, time.Now)
+	q = NewQueue(faultLease, time.Now)
 	leader = NewLeader(q, "")
 	ts := httptest.NewServer(leader.Handler())
 	t.Cleanup(ts.Close)
 	addr := strings.TrimPrefix(ts.URL, "http://")
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
-	workers = make([]*PullWorker, 3)
-	for i := range workers {
-		w := NewPullWorker(addr, fmt.Sprintf("chaos-%d", i), experiment.LocalBackend{}, nil, fleetSlots, fleetSlots)
-		if faults != nil {
-			w.SetFaults(faults)
+	workers = make([]*PullWorker, len(arms))
+	for i, arm := range arms {
+		var backend experiment.Backend = experiment.LocalBackend{}
+		if arm.slow > 0 {
+			backend = Throttle{Inner: backend, Delay: arm.slow}
 		}
+		if starts != nil {
+			backend = loggedBackend{log: starts, worker: i, inner: backend}
+		}
+		w := NewPullWorker(addr, fmt.Sprintf("chaos-%d", i), backend, nil, fleetSlots, fleetSlots)
+		if arm.faults != nil {
+			w.SetFaults(arm.faults)
+		}
+		w.SetSleep(func(ctx context.Context, d time.Duration) error { return sleepWall(ctx, d/10) })
 		workers[i] = w
 		wg.Add(1)
 		go func() {
@@ -176,6 +230,28 @@ func faultFleet(t *testing.T, faults WorkerFaults) (q *Queue, leader *Leader, wo
 		cancel()
 		wg.Wait()
 	}
+}
+
+// startLog records which workers started simulating each spec, by
+// wire key, in start order.
+type startLog struct {
+	mu sync.Mutex
+	by map[string][]int
+}
+
+// loggedBackend logs each simulation's start, then runs it on inner.
+type loggedBackend struct {
+	log    *startLog
+	worker int
+	inner  experiment.Backend
+}
+
+func (b loggedBackend) Run(ctx context.Context, spec wire.Spec) (wire.Result, error) {
+	key := spec.Key()
+	b.log.mu.Lock()
+	b.log.by[key] = append(b.log.by[key], b.worker)
+	b.log.mu.Unlock()
+	return b.inner.Run(ctx, spec)
 }
 
 // openCache opens a run cache in dir under the current schema.

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 
+	"xorbp/internal/btb"
+	"xorbp/internal/core"
 	"xorbp/internal/cpu"
 	"xorbp/internal/rng"
 )
@@ -226,4 +228,62 @@ func TestDecodeResultRandomRoundTrip(t *testing.T) {
 			t.Fatalf("result %d round trip differs:\n got: %+v\n put: %+v\n oracle: %+v\n%s", i, got, r, want, enc)
 		}
 	}
+}
+
+// FuzzEncodeSpec holds Encode to json.Marshal, the definition of the
+// canonical form, on fuzzed field values: every string field takes one
+// of the fuzzed strings (so quoting and escaping meet arbitrary bytes),
+// every number field a fuzzed value, and threads picks nil, empty or up
+// to four Threads entries, with or without an attack payload.
+func FuzzEncodeSpec(f *testing.F) {
+	f.Add("", "xor", "tage", "gcc", "4M", 4, 7, uint8(7), uint64(1_000_000), uint64(1), int64(16), 2, true)
+	f.Add("attack", "<&>", "\"\\", "\x00\x1f\x7f", " é\xff", -1, 255, uint8(0), uint64(math.MaxUint64), uint64(0), int64(math.MinInt64), -1, false)
+	f.Fuzz(func(t *testing.T, kind, name, pred, thread, label string, mech, width int, flags uint8, n, m uint64, i int64, threads int, attack bool) {
+		s := Spec{
+			Kind: kind,
+			Opts: core.Options{
+				Mechanism:         core.Mechanism(mech),
+				Scope:             core.Structure(flags),
+				EnhancedPHT:       flags&1 != 0,
+				RotateOnPrivilege: flags&2 != 0,
+				FlushOnPrivilege:  flags&4 != 0,
+				RekeyPeriod:       n,
+			},
+			Codec:     name,
+			Scrambler: label,
+			Pred:      pred,
+			Cfg: cpu.Config{
+				Name:              name + thread,
+				FetchWidth:        width,
+				MispredictPenalty: m,
+				BTBMissPenalty:    n ^ m,
+				BTB:               btb.Config{Sets: uint(n), Ways: uint(m), TagBits: uint(n >> 7), TargetBits: uint(m >> 3)},
+				RASDepth:          int(i),
+				HWThreads:         -width,
+			},
+			Timer: n + m,
+			Scale: Scale{
+				WarmupInstr: n, MeasureInstr: m, SMTWarmupInstr: n >> 1, SMTMeasureInstr: m >> 1,
+				TimerPeriods: [3]uint64{n, m, n * m},
+				TimerLabels:  [3]string{label, thread, kind},
+				Seed:         m - n,
+			},
+		}
+		if threads >= 0 {
+			s.Threads = []string{}
+			for j := 0; j < threads%5; j++ {
+				s.Threads = append(s.Threads, thread+label[:min(j, len(label))])
+			}
+		}
+		if attack {
+			s.Attack = &AttackSpec{Name: name, Scenario: pred, RekeyPeriod: m, Trials: width, Attempts: int(i), Seed: n}
+		}
+		want, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Encode(); !bytes.Equal(got, want) {
+			t.Fatalf("Encode differs from json.Marshal:\n got: %s\nwant: %s", got, want)
+		}
+	})
 }

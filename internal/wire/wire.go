@@ -12,6 +12,15 @@
 // names. Golden tests (testdata/) lock the byte-level form, so schema
 // drift fails loudly instead of silently aliasing or orphaning cache
 // entries.
+//
+// encoding/json defines the form, but the two hot paths do not reflect:
+// Spec.Encode (and so Spec.Key) writes the canonical bytes directly, and
+// DecodeResult scans them. Tests hold each to encoding/json as an
+// oracle — TestSpecEncodeMatchesJSON and FuzzEncodeSpec compare the
+// encoder with json.Marshal over every field reachable from Spec,
+// FuzzDecodeResult the decoder with json.Decoder — so a field added to
+// either type without a matching step fails tier-1 tests instead of
+// aliasing cache keys or decoding wrongly.
 package wire
 
 import (
@@ -66,6 +75,9 @@ const KindAttack = "attack"
 // microarchitecture fields are zero (the attack harness drives the
 // predictor structures directly). Both kinds share Opts, Codec,
 // Scrambler and Pred — the mechanism and predictor under test.
+//
+// appendSpec writes these fields, and those of the types they hold, in
+// declaration order: a field added here or there needs a step in it.
 type Spec struct {
 	// Kind discriminates the run kinds: "" (performance) or KindAttack.
 	Kind string `json:"kind,omitempty"`
@@ -237,18 +249,151 @@ func typeSig(t reflect.Type, seen map[reflect.Type]bool) string {
 }
 
 // Encode renders the canonical byte form of the spec: single-line JSON
-// with fixed field order. Two equal Specs always encode to identical
+// with fixed field order, byte for byte what encoding/json's Marshal
+// writes for the Spec. Two equal Specs always encode to identical
 // bytes, so the encoding doubles as the cache-key payload.
+// Encode writes the bytes directly (appendSpec) rather than reflecting;
+// the package's tests hold it to json.Marshal.
 func (s Spec) Encode() []byte {
-	// The interface fields carry json:"-" so a populated Options cannot
-	// leak implementation-dependent bytes into the canonical form; the
-	// identities must already be in Codec/Scrambler.
-	b, err := json.Marshal(s)
-	if err != nil {
-		// Every encoded field is a plain value type; Marshal cannot fail.
-		panic(fmt.Sprintf("wire: encoding spec: %v", err))
+	return s.appendSpec(make([]byte, 0, specBufSize))
+}
+
+// specBufSize holds a typical encoded spec (about 600 bytes) in one
+// allocation; a longer one grows the buffer.
+const specBufSize = 1024
+
+// appendSpec appends the canonical encoding of s to b: the fixed key
+// prefixes in declaration order, numbers as encoding/json formats them
+// (strconv, base 10), strings through appendString. The interface
+// fields of core.Options carry json:"-" and are never written, so a
+// populated Options cannot leak implementation-dependent bytes into the
+// canonical form; their identities are in Codec/Scrambler.
+func (s Spec) appendSpec(b []byte) []byte {
+	b = append(b, '{')
+	if s.Kind != "" {
+		b = append(b, `"kind":`...)
+		b = appendString(b, s.Kind)
+		b = append(b, ',')
 	}
-	return b
+	o := &s.Opts
+	b = append(b, `"opts":{"mechanism":`...)
+	b = strconv.AppendInt(b, int64(o.Mechanism), 10)
+	b = append(b, `,"scope":`...)
+	b = strconv.AppendUint(b, uint64(o.Scope), 10)
+	b = append(b, `,"enhanced_pht":`...)
+	b = strconv.AppendBool(b, o.EnhancedPHT)
+	b = append(b, `,"rotate_on_privilege":`...)
+	b = strconv.AppendBool(b, o.RotateOnPrivilege)
+	b = append(b, `,"flush_on_privilege":`...)
+	b = strconv.AppendBool(b, o.FlushOnPrivilege)
+	b = append(b, `,"rekey_period":`...)
+	b = strconv.AppendUint(b, o.RekeyPeriod, 10)
+	b = append(b, `},"codec":`...)
+	b = appendString(b, s.Codec)
+	b = append(b, `,"scrambler":`...)
+	b = appendString(b, s.Scrambler)
+	b = append(b, `,"pred":`...)
+	b = appendString(b, s.Pred)
+	c := &s.Cfg
+	b = append(b, `,"cfg":{"name":`...)
+	b = appendString(b, c.Name)
+	b = append(b, `,"fetch_width":`...)
+	b = strconv.AppendInt(b, int64(c.FetchWidth), 10)
+	b = append(b, `,"mispredict_penalty":`...)
+	b = strconv.AppendUint(b, c.MispredictPenalty, 10)
+	b = append(b, `,"btb_miss_penalty":`...)
+	b = strconv.AppendUint(b, c.BTBMissPenalty, 10)
+	b = append(b, `,"btb":{"sets":`...)
+	b = strconv.AppendUint(b, uint64(c.BTB.Sets), 10)
+	b = append(b, `,"ways":`...)
+	b = strconv.AppendUint(b, uint64(c.BTB.Ways), 10)
+	b = append(b, `,"tag_bits":`...)
+	b = strconv.AppendUint(b, uint64(c.BTB.TagBits), 10)
+	b = append(b, `,"target_bits":`...)
+	b = strconv.AppendUint(b, uint64(c.BTB.TargetBits), 10)
+	b = append(b, `},"ras_depth":`...)
+	b = strconv.AppendInt(b, int64(c.RASDepth), 10)
+	b = append(b, `,"hw_threads":`...)
+	b = strconv.AppendInt(b, int64(c.HWThreads), 10)
+	b = append(b, `},"timer":`...)
+	b = strconv.AppendUint(b, s.Timer, 10)
+	b = append(b, `,"threads":`...)
+	if s.Threads == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, t := range s.Threads {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendString(b, t)
+		}
+		b = append(b, ']')
+	}
+	sc := &s.Scale
+	b = append(b, `,"scale":{"warmup_instr":`...)
+	b = strconv.AppendUint(b, sc.WarmupInstr, 10)
+	b = append(b, `,"measure_instr":`...)
+	b = strconv.AppendUint(b, sc.MeasureInstr, 10)
+	b = append(b, `,"smt_warmup_instr":`...)
+	b = strconv.AppendUint(b, sc.SMTWarmupInstr, 10)
+	b = append(b, `,"smt_measure_instr":`...)
+	b = strconv.AppendUint(b, sc.SMTMeasureInstr, 10)
+	b = append(b, `,"timer_periods":[`...)
+	for i, p := range sc.TimerPeriods {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendUint(b, p, 10)
+	}
+	b = append(b, `],"timer_labels":[`...)
+	for i, l := range sc.TimerLabels {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendString(b, l)
+	}
+	b = append(b, `],"seed":`...)
+	b = strconv.AppendUint(b, sc.Seed, 10)
+	b = append(b, '}')
+	if a := s.Attack; a != nil {
+		b = append(b, `,"attack":{"name":`...)
+		b = appendString(b, a.Name)
+		b = append(b, `,"scenario":`...)
+		b = appendString(b, a.Scenario)
+		b = append(b, `,"rekey_period":`...)
+		b = strconv.AppendUint(b, a.RekeyPeriod, 10)
+		b = append(b, `,"trials":`...)
+		b = strconv.AppendInt(b, int64(a.Trials), 10)
+		b = append(b, `,"attempts":`...)
+		b = strconv.AppendInt(b, int64(a.Attempts), 10)
+		b = append(b, `,"seed":`...)
+		b = strconv.AppendUint(b, a.Seed, 10)
+		b = append(b, '}')
+	}
+	return append(b, '}')
+}
+
+// appendString appends str as a JSON string. A string of printable
+// ASCII that encoding/json writes unescaped is copied between quotes;
+// any other string — one holding a quote, a backslash, an HTML-escaped
+// <, > or &, a control byte or a byte outside ASCII — is quoted by
+// encoding/json itself, so every escape is encoding/json's by
+// construction. Registered names and workload labels take the fast path.
+func appendString(b []byte, str string) []byte {
+	for i := 0; i < len(str); i++ {
+		if c := str[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, err := json.Marshal(str)
+			if err != nil {
+				// A string always marshals (invalid UTF-8 becomes U+FFFD).
+				panic(fmt.Sprintf("wire: encoding string: %v", err))
+			}
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, str...)
+	return append(b, '"')
 }
 
 // DecodeSpec parses a canonical spec encoding. Unknown fields are
@@ -268,9 +413,11 @@ func DecodeSpec(b []byte) (Spec, error) {
 // that agrees on the schema derives the same key for the same spec — the
 // property that lets local runs, remote workers and warm caches
 // interoperate. The schema prefix is hashed once per process (keyer);
-// each call hashes only the spec's bytes.
+// each call encodes the spec directly (Encode) into a buffer on the
+// stack and hashes only those bytes.
 func (s Spec) Key() string {
-	return keyer.Key(s.Encode())
+	var buf [specBufSize]byte
+	return keyer.Key(s.appendSpec(buf[:0]))
 }
 
 // Encode renders the canonical byte form of the result.

@@ -2,7 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -328,6 +330,150 @@ func TestSchemaEpoch3(t *testing.T) {
 	for _, want := range []string{"wire.AttackSpec", "wire.AttackResult"} {
 		if !strings.Contains(SchemaVersion(), want) {
 			t.Errorf("schema version missing %q", want)
+		}
+	}
+}
+
+// checkEncodeMatchesJSON requires Encode to write exactly what
+// encoding/json's Marshal, the definition of the canonical form, writes
+// for s.
+func checkEncodeMatchesJSON(t *testing.T, what string, s Spec) {
+	t.Helper()
+	want, err := json.Marshal(s)
+	if err != nil {
+		t.Fatalf("%s: json.Marshal: %v", what, err)
+	}
+	if got := s.Encode(); !bytes.Equal(got, want) {
+		t.Fatalf("%s: Encode differs from json.Marshal:\n got: %s\nwant: %s", what, got, want)
+	}
+}
+
+// specLeaf is one scalar reachable from Spec: its path, and a function
+// that walks a Spec value to it, allocating pointers and slices on the
+// way.
+type specLeaf struct {
+	path string
+	at   func(reflect.Value) reflect.Value
+}
+
+// specLeaves lists every leaf of type t that encoding/json writes,
+// reached from a value by at: struct fields recurse (fields tagged
+// json:"-" and unexported ones are skipped, as encoding/json skips
+// them), a pointer is allocated, a slice is given two elements and its
+// second is the leaf (so the separator is written), and every array
+// element is a leaf of its own.
+func specLeaves(t *testing.T, typ reflect.Type, path string, at func(reflect.Value) reflect.Value) []specLeaf {
+	switch typ.Kind() {
+	case reflect.Struct:
+		var out []specLeaf
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			if !f.IsExported() || f.Tag.Get("json") == "-" {
+				continue
+			}
+			out = append(out, specLeaves(t, f.Type, path+"."+f.Name,
+				func(v reflect.Value) reflect.Value { return at(v).Field(i) })...)
+		}
+		return out
+	case reflect.Pointer:
+		return specLeaves(t, typ.Elem(), path, func(v reflect.Value) reflect.Value {
+			p := at(v)
+			if p.IsNil() {
+				p.Set(reflect.New(typ.Elem()))
+			}
+			return p.Elem()
+		})
+	case reflect.Slice:
+		return specLeaves(t, typ.Elem(), path+"[1]", func(v reflect.Value) reflect.Value {
+			s := at(v)
+			if s.Len() < 2 {
+				s.Set(reflect.AppendSlice(s, reflect.MakeSlice(typ, 2-s.Len(), 2-s.Len())))
+			}
+			return s.Index(1)
+		})
+	case reflect.Array:
+		var out []specLeaf
+		for i := 0; i < typ.Len(); i++ {
+			out = append(out, specLeaves(t, typ.Elem(), fmt.Sprintf("%s[%d]", path, i),
+				func(v reflect.Value) reflect.Value { return at(v).Index(i) })...)
+		}
+		return out
+	case reflect.String, reflect.Bool,
+		reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		return []specLeaf{{path, at}}
+	}
+	t.Fatalf("%s: a %s reaches the wire; teach specLeaves and appendSpec to write it", path, typ)
+	return nil
+}
+
+// setDistinct gives a leaf a non-zero value derived from n, distinct
+// for distinct n: numbers at the top of their type's range, so each
+// width's extreme is written too.
+func setDistinct(v reflect.Value, n int) {
+	switch v.Kind() {
+	case reflect.String:
+		v.SetString(fmt.Sprintf("leaf-%d", n))
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		bits := v.Type().Bits()
+		v.SetInt(-1<<(bits-1) + int64(n)) // near the minimum: a sign and every digit
+	default:
+		v.SetUint(^uint64(0)>>(64-v.Type().Bits()) - uint64(n))
+	}
+}
+
+// TestSpecEncodeMatchesJSON holds Encode to json.Marshal byte for byte.
+// It walks Spec's type — into core.Options, cpu.Config, btb.Config,
+// Scale and *AttackSpec, through slices and arrays — and sets each leaf
+// in turn to a distinct non-zero value, on a zero spec (where Kind and
+// Attack are omitted) and on a fully populated one. A field added
+// without a step in appendSpec fails here, because json.Marshal writes
+// it. The fixed cases cover nil and empty Threads, a nil Attack and
+// strings that encoding/json escapes.
+func TestSpecEncodeMatchesJSON(t *testing.T) {
+	leaves := specLeaves(t, reflect.TypeOf(Spec{}), "Spec", func(v reflect.Value) reflect.Value { return v })
+	if len(leaves) < 30 {
+		t.Fatalf("walked %d leaves; Spec has more than 30", len(leaves))
+	}
+	full := Spec{}
+	for i, l := range leaves {
+		setDistinct(l.at(reflect.ValueOf(&full).Elem()), i+1)
+	}
+	checkEncodeMatchesJSON(t, "zero spec", Spec{})
+	checkEncodeMatchesJSON(t, "every leaf set", full)
+	for i, l := range leaves {
+		var s Spec
+		setDistinct(l.at(reflect.ValueOf(&s).Elem()), i+1)
+		checkEncodeMatchesJSON(t, l.path+" set on a zero spec", s)
+
+		s = full
+		s.Threads = append([]string(nil), full.Threads...)
+		a := *full.Attack
+		s.Attack = &a
+		setDistinct(l.at(reflect.ValueOf(&s).Elem()), len(leaves)+i+1)
+		checkEncodeMatchesJSON(t, l.path+" changed on a full spec", s)
+	}
+
+	cases := map[string]func(*Spec){
+		"nil threads":   func(s *Spec) { s.Threads = nil },
+		"empty threads": func(s *Spec) { s.Threads = []string{} },
+		"one thread":    func(s *Spec) { s.Threads = []string{"gcc"} },
+		"nil attack":    func(s *Spec) { s.Attack = nil },
+		"html":          func(s *Spec) { s.Pred = "<a href='x'>&amp;</a>" },
+		"quote":         func(s *Spec) { s.Codec = `say "xor"` },
+		"backslash":     func(s *Spec) { s.Scrambler = `C:\xor` },
+		"control bytes": func(s *Spec) { s.Cfg.Name = "tab\there\nnul\x00del\x7f" },
+		"non-ASCII":     func(s *Spec) { s.Threads = []string{"gcc", "gémeaux", "日本", "\u2028\u2029"} },
+		"invalid UTF-8": func(s *Spec) { s.Scale.TimerLabels[1] = "4M\xff\xfe" },
+		"attack names":  func(s *Spec) { s.Attack = &AttackSpec{Name: "pht<training>", Scenario: "S&MT"} },
+	}
+	for name, mutate := range cases {
+		for base, spec := range map[string]func() Spec{"performance": goldenSpec, "attack": goldenAttackSpec} {
+			s := spec()
+			mutate(&s)
+			checkEncodeMatchesJSON(t, base+" spec, "+name, s)
 		}
 	}
 }
